@@ -11,14 +11,17 @@ unipotent and special groups coincide with principal ones and are
 canonicalized away (rank 1 and the rank-2 unipotent case).
 
 classify() runs the decision procedure: strip single-valued C2 factors,
-detect special pairs, reconstruct an abelian group when an element of order
-outside {1,2,4} exists, and otherwise read off the quasi-cocycle and its
-cohomology class.
+detect special pairs, and, when an element of order outside {1,2,4} exists,
+read the invariant factors of A (with X = A modulo negation) off the counts
+of element orders; otherwise read off the quasi-cocycle and its cohomology
+class.  reconstruct_abelian rebuilds A as an explicit group table and is the
+independent certificate for the principal branch; classify does not call it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,25 +86,36 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
+def _chain_from_counts(n: int, count) -> tuple[int, ...]:
+    """Invariant-factor chain of the abelian group of order n in which
+    count(k) elements have order dividing k.
+
+    For a prime p, count(p^j) / count(p^(j-1)) = p^r where r is the number of
+    cyclic p-factors of exponent >= j; the i-th largest invariant factor takes
+    one factor p for each j with r > i.
+    """
+    top: list[int] = []  # invariant factors, largest first
+    for p in _factorint(n):
+        prev, q = 1, p
+        while (c := count(q)) != prev:
+            ratio, r = c // prev, 0
+            while ratio > 1:
+                ratio //= p
+                r += 1
+            top.extend([1] * (r - len(top)))
+            for i in range(r):
+                top[i] *= p
+            prev, q = c, q * p
+    return tuple(reversed(top))
+
+
 def merge_chains(c1, c2) -> tuple[int, ...]:
     """Invariant factors of the direct product of two abelian groups given
     by invariant-factor chains."""
-    parts: dict[int, list[int]] = {}
-    for d in tuple(c1) + tuple(c2):
-        for p, e in _factorint(d).items():
-            parts.setdefault(p, []).append(p ** e)
-    if not parts:
-        return ()
-    k = max(len(v) for v in parts.values())
-    chain = []
-    for i in range(k):
-        d = 1
-        for p in parts:
-            ps = sorted(parts[p], reverse=True)
-            if i < len(ps):
-                d *= ps[i]
-        chain.append(d)
-    return tuple(sorted(chain))
+    ds = tuple(c1) + tuple(c2)
+    return _chain_from_counts(
+        math.prod(ds), lambda k: math.prod(math.gcd(k, d) for d in ds)
+    )
 
 
 @dataclass(frozen=True)
@@ -242,16 +256,18 @@ def _check_group_table(G: GroupTable):
             raise NotAbelian(f"index 0 is not an identity (element {x})")
         if sorted(t[x]) != list(range(n)):
             raise NotAbelian(f"row {x} is not a permutation")
-        if 0 not in t[x]:
-            raise NotAbelian(f"element {x} has no inverse")
     arr = np.array(t, dtype=np.int32)
     if not np.array_equal(arr, arr.T):
         raise NotAbelian("multiplication is not commutative")
-    left = arr[arr, :]
-    right = arr[:, arr]
-    if not np.array_equal(left, right):
-        bad = np.argwhere(left != right)
-        raise NotAssociative(f"first failing triple: {tuple(map(int, bad[0]))}")
+    # (xy)z == x(yz), chunked over x so memory stays bounded
+    chunk = max(1, 4_000_000 // (n * n))
+    for x0 in range(0, n, chunk):
+        rows = arr[x0 : x0 + chunk]
+        left = arr[rows, :]
+        right = rows[:, arr]
+        if not np.array_equal(left, right):
+            x, y, z = map(int, np.argwhere(left != right)[0])
+            raise NotAssociative(f"first failing triple: {(x0 + x, y, z)}")
 
 
 def invariant_factors(G) -> tuple[int, ...]:
@@ -264,41 +280,8 @@ def invariant_factors(G) -> tuple[int, ...]:
     if isinstance(G, FinAbelianGroup):
         return merge_chains(G.factors, ())
     _check_group_table(G)
-    n = G.size
-    orders = [G.order_of(x) for x in range(n)]
-    parts: dict[int, list[int]] = {}
-    for p in _factorint(n):
-        # c[j] = #elements whose order divides p^j; stabilizes at the size
-        # of the p-primary component
-        c = [1]
-        j = 1
-        while True:
-            c.append(sum(1 for o in orders if p ** j % o == 0))
-            if c[-1] == c[-2]:
-                break
-            j += 1
-        # ranks[j-1] = log_p(c[j]/c[j-1]) = #cyclic p-factors with exponent >= j
-        ranks = []
-        for i in range(1, len(c)):
-            q, r = c[i] // c[i - 1], 0
-            while q > 1:
-                q //= p
-                r += 1
-            ranks.append(r)
-        ranks.append(0)
-        exact: list[int] = []
-        for i in range(1, len(ranks)):
-            exact.extend([p ** i] * (ranks[i - 1] - ranks[i]))
-        parts[p] = sorted(exact, reverse=True)
-    chain: list[int] = []
-    k = max((len(v) for v in parts.values()), default=0)
-    for i in range(k):
-        d = 1
-        for p in parts:
-            if i < len(parts[p]):
-                d *= parts[p][i]
-        chain.append(d)
-    return tuple(sorted(x for x in chain if x > 1))
+    orders = [G.order_of(x) for x in range(G.size)]
+    return _chain_from_counts(G.size, lambda k: sum(1 for o in orders if k % o == 0))
 
 
 @dataclass
@@ -382,8 +365,8 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
 
     table = tuple(tuple(mul(a, b) for b in A) for a in A)
     G = GroupTable(table=table, labels=tuple(f"({X.names[x]};{X.names[p]})" for x, p in A))
-    # (0, t) sits at index 0 because t*e = [t, t] contributes exactly one pair
-    _check_group_table(G)
+    # (0, t) sits at index 0 because t*e = [t, t] contributes exactly one
+    # pair; invariant_factors checks the group axioms on the table
     chain = invariant_factors(G)
     return ReconstructionResult(
         abelian=FinAbelianGroup(chain), chain=chain, table=G, t=t, pairs=tuple(A)
@@ -404,10 +387,16 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
                 f"special part has size {sz}, not of the form 2^n + 1 with n >= 2"
             )
         return ClassLabel.special_label(n, m)
-    has_big = any(order(Xp, x) not in (1, 2, 4) for x in range(len(Xp)))
-    if has_big:
-        rec = reconstruct_abelian(Xp)
-        return ClassLabel.principal_label(merge_chains(rec.chain, (2,) * m))
+    orders = [order(Xp, x) for x in range(len(Xp))]
+    if any(o not in (1, 2, 4) for o in orders):
+        # X' = A/+-: the orbit of a has order ord(a) and 1 or 2 elements
+        sizes = [1 if o <= 2 else 2 for o in orders]
+        chain = _chain_from_counts(
+            sum(sizes), lambda k: sum(s for o, s in zip(orders, sizes) if k % o == 0)
+        )
+        if ClassLabel.principal_label(chain).size() != len(Xp):
+            raise ValueError(f"order counts give {chain}, not a group of size {len(Xp)}")
+        return ClassLabel.principal_label(merge_chains(chain, (2,) * m))
     if len(Xp) == 1:
         return ClassLabel.principal_label((2,) * m)
     data = extract_quasicocycle(Xp)

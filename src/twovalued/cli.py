@@ -333,10 +333,11 @@ def _cmd_verify(args) -> int:
     print(f"two_valued_group: {str(rep.is_two_valued_group).lower()}")
     print(f"commutative: {str(rep.is_commutative).lower()}")
     print(f"involutive: {str(rep.is_involutive).lower()}")
-    for tag, witness in rep.violations[: args.max_violations]:
-        shown = ",".join(X.names[w] for w in witness)
-        print(f"violation: {tag} at ({shown})")
-    extra = len(rep.violations) - args.max_violations
+    shown = rep.violations[: args.max_violations]
+    for tag, witness in shown:
+        names = ",".join(X.names[w] for w in witness)
+        print(f"violation: {tag} at ({names})")
+    extra = sum(rep.counts.values()) - len(shown)
     if extra > 0:
         print(f"... and {extra} more violations")
     return 0 if rep.is_two_valued_group else 1

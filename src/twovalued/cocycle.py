@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import TwoValuedGroup, order, power
-from .structure import UNDEFINED, boolean_subgroup, is_special, squares_subgroup, v_dot
+from .structure import UNDEFINED, _f2_pivots, boolean_subgroup, is_special, squares_subgroup, v_dot
 
 __all__ = [
     "QuasiCocycle",
@@ -90,15 +90,7 @@ def apply_linear(M, v: int) -> int:
 
 
 def linear_rank(vectors, dim: int) -> int:
-    basis: dict[int, int] = {}  # leading bit -> vector
-    for v in vectors:
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = v
-                break
-            v ^= basis[lead]
-    return len(basis)
+    return len(_f2_pivots(vectors))
 
 
 @dataclass(frozen=True)

@@ -177,19 +177,20 @@ class ValidationReport:
 
     violations holds (tag, witness) entries where witness is a tuple of the
     element indices involved.  Witness lists are capped at
-    MAX_WITNESSES_PER_TAG per tag (lexicographically first kept); the boolean
-    verdicts always reflect the full sweep.
+    MAX_WITNESSES_PER_TAG per tag (lexicographically first kept); counts
+    holds the true number of violations per tag, and the boolean verdicts
+    always reflect the full sweep.
     """
 
     size: int
     violations: list[tuple[str, tuple[int, ...]]]
     is_commutative: bool
     is_involutive: bool
-    _axiom_ok: bool = True
+    counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def is_two_valued_group(self) -> bool:
-        return self._axiom_ok
+        return not any(self.counts.values())
 
     def violations_for(self, tag: str) -> list[tuple[int, ...]]:
         return [w for t, w in self.violations if t == tag]
@@ -283,13 +284,12 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
             if not (e_in_xy[x, y] and e_in_xy[y, x]):
                 record("inverse_existence", (x, y))
 
-    axiom_ok = all(counts[tag] == 0 for tag in AXIOM_TAGS)
     return ValidationReport(
         size=n,
         violations=violations,
         is_commutative=is_commutative,
         is_involutive=is_involutive,
-        _axiom_ok=axiom_ok,
+        counts=counts,
     )
 
 

@@ -8,9 +8,10 @@ inverses are trivial (x (+) x always contains 0).  Associativity cannot hold
 exactly in floating point, so it is checked as matching of the two 4-element
 value multisets up to a tolerance.
 
-The quadratic coefficients A, B, C (with F = A z^2 - B z + C) are expanded
-once symbolically and compiled to complex-arithmetic lambdas; nothing here
-differentiates numerically.
+The quadratic coefficients A, B, C (with F = A z^2 - B z + C) are written
+out by hand in one function that works on complex numbers and on sympy
+symbols alike; sympy is imported only by the symbolic routines, and nothing
+here differentiates numerically.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-
-import sympy as sp
 
 __all__ = [
     "LawParams",
@@ -52,40 +51,39 @@ class LawParams:
     a3: complex = 0
 
 
-_X, _Y, _Z = sp.symbols("x y z")
-_A1, _A2, _A3 = sp.symbols("a1 a2 a3")
-
-
-def F_sym(x=_X, y=_Y, z=_Z, a1=_A1, a2=_A2, a3=_A3):
-    """The defining polynomial as a sympy expression."""
+def _F(x, y, z, a1, a2, a3):
     return (x + y + z - a2 * x * y * z) ** 2 - 4 * (1 + a3 * x * y * z) * (
         x * y + x * z + y * z + a1 * x * y * z
     )
 
 
-# coefficients of F as a quadratic in z: F = A z^2 - B z + C
-_poly = sp.Poly(sp.expand(F_sym()), _Z)
-_A_expr, _mB_expr, _C_expr = _poly.all_coeffs()
-_B_expr = sp.expand(-_mB_expr)
-_A_expr = sp.expand(_A_expr)
-_C_expr = sp.expand(_C_expr)
+def _coefficients(x, y, a1, a2, a3):
+    """(A, B, C) with F(x, y, z) = A z^2 - B z + C, from s = x + y, P = xy."""
+    s, P = x + y, x * y
+    A = (1 - a2 * P) ** 2 - 4 * a3 * P * (s + a1 * P)
+    B = 4 * (s + a1 * P) + 4 * a3 * P**2 - 2 * s * (1 - a2 * P)
+    C = s**2 - 4 * P
+    return A, B, C
 
-_A_fn = sp.lambdify((_X, _Y, _A1, _A2, _A3), _A_expr, modules="cmath")
-_B_fn = sp.lambdify((_X, _Y, _A1, _A2, _A3), _B_expr, modules="cmath")
-_C_fn = sp.lambdify((_X, _Y, _A1, _A2, _A3), _C_expr, modules="cmath")
+
+def F_sym(x=None, y=None, z=None, a1=None, a2=None, a3=None):
+    """The defining polynomial as a sympy expression; arguments left out
+    are the symbols x, y, z, a1, a2, a3."""
+    import sympy as sp
+
+    args = (x, y, z, a1, a2, a3)
+    syms = sp.symbols("x y z a1 a2 a3")
+    return _F(*(s if v is None else v for v, s in zip(args, syms)))
 
 
 def eval_F(p: LawParams, x: complex, y: complex, z: complex) -> complex:
     """Direct evaluation of F at numeric arguments."""
-    return (x + y + z - p.a2 * x * y * z) ** 2 - 4 * (1 + p.a3 * x * y * z) * (
-        x * y + x * z + y * z + p.a1 * x * y * z
-    )
+    return _F(x, y, z, p.a1, p.a2, p.a3)
 
 
 def law_coefficients(p: LawParams, x: complex, y: complex) -> tuple[complex, complex, complex]:
     """(A, B, C) with F(x, y, z) = A z^2 - B z + C."""
-    args = (x, y, p.a1, p.a2, p.a3)
-    return (_A_fn(*args), _B_fn(*args), _C_fn(*args))
+    return _coefficients(x, y, p.a1, p.a2, p.a3)
 
 
 def mul2(p: LawParams, x: complex, y: complex) -> tuple[complex, complex]:
@@ -155,31 +153,34 @@ def canonical_operator_polys(p: LawParams | None = None):
     stay symbolic.  For every parameter value, phi1(0) = 2 and phi2(0) = 0;
     at zero parameters phi1 = 2 and phi2 = 16x exactly.
     """
-    A = _A_expr
-    B = _B_expr
-    C = _C_expr
+    import sympy as sp
+
+    x, y, a1, a2, a3 = sp.symbols("x y a1 a2 a3")
+    A, B, C = map(sp.expand, _coefficients(x, y, a1, a2, a3))
     D = sp.expand(B * B - 4 * A * C)
-    A0 = sp.expand(A.subs(_Y, 0))
+    A0 = sp.expand(A.subs(y, 0))
     if A0 != 1:
         raise AssertionError("leading coefficient at y = 0 must be 1")
-    dA = sp.diff(A, _Y).subs(_Y, 0)
-    dB = sp.diff(B, _Y).subs(_Y, 0)
-    dD = sp.diff(D, _Y).subs(_Y, 0)
-    B0 = B.subs(_Y, 0)
-    if sp.expand(B0 - 2 * _X) != 0:
+    dA = sp.diff(A, y).subs(y, 0)
+    dB = sp.diff(B, y).subs(y, 0)
+    dD = sp.diff(D, y).subs(y, 0)
+    B0 = B.subs(y, 0)
+    if sp.expand(B0 - 2 * x) != 0:
         raise AssertionError("B(x, 0) must equal 2x")
-    if sp.expand(D.subs(_Y, 0)) != 0:
+    if sp.expand(D.subs(y, 0)) != 0:
         raise AssertionError("the discriminant must vanish at y = 0")
     phi1 = sp.expand(dB - B0 * dA)
     phi2 = sp.expand(dD)
     if p is not None:
-        conv = {_A1: _to_sym(p.a1), _A2: _to_sym(p.a2), _A3: _to_sym(p.a3)}
+        conv = {a1: _to_sym(p.a1), a2: _to_sym(p.a2), a3: _to_sym(p.a3)}
         phi1 = sp.expand(phi1.subs(conv))
         phi2 = sp.expand(phi2.subs(conv))
     return phi1, phi2
 
 
 def _to_sym(v: complex):
+    import sympy as sp
+
     v = complex(v)
     if v.imag == 0 and v.real == int(v.real):
         return sp.Integer(int(v.real))
@@ -189,9 +190,12 @@ def _to_sym(v: complex):
 def canonical_operator_coeffs(p: LawParams, x: complex) -> tuple[complex, complex]:
     """Numeric values (phi1(x), phi2(x)) of the canonical operator
     coefficients: the operator is (phi1/2) d/dx + (phi2/8) d^2/dx^2."""
+    import sympy as sp
+
     phi1, phi2 = canonical_operator_polys(p)
     xv = _to_sym(x)
-    return (complex(phi1.subs(_X, xv)), complex(phi2.subs(_X, xv)))
+    X = sp.Symbol("x")
+    return (complex(phi1.subs(X, xv)), complex(phi2.subs(X, xv)))
 
 
 def _unit_disk(rng: random.Random) -> complex:

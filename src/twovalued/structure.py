@@ -291,6 +291,24 @@ def is_homomorphism(X: TwoValuedGroup, Z: TwoValuedGroup, f) -> HomomorphismRepo
     return report
 
 
+def _f2_pivots(rows, mask: int = -1) -> dict[int, int] | None:
+    """Leading-bit Gaussian elimination over F2 on the bits in mask (all
+    bits by default).  Returns the pivot rows keyed by leading bit, or None
+    when a row reduces to zero on mask but not outside it."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row & mask:
+            lead = (row & mask).bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+        else:
+            if row:
+                return None
+    return pivots
+
+
 def _solve_f2(rows, nvars: int):
     """Solve a linear system over F2.  Each row is an int whose low nvars
     bits are coefficients and whose bit nvars is the right-hand side.
@@ -298,18 +316,9 @@ def _solve_f2(rows, nvars: int):
     inconsistent."""
     mask = (1 << nvars) - 1
     rhs_bit = 1 << nvars
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row & mask:
-            lead = (row & mask).bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                row = 0
-                break
-        if row & rhs_bit:
-            return None  # coefficients eliminated but rhs = 1
+    pivots = _f2_pivots(rows, mask)
+    if pivots is None:
+        return None  # coefficients eliminated but rhs = 1
     # each pivot row's leading coefficient bit is its highest, so its
     # equation expresses the pivot variable through strictly lower columns:
     # solve low to high

@@ -1,7 +1,12 @@
 """Classification: labels, reconstruction, isomorphism decision, search."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import twovalued
 from twovalued.core import verify_axioms
 from twovalued.constructions import (
     FinAbelianGroup,
@@ -26,6 +31,8 @@ from twovalued.classify import (
     reconstruct_abelian,
     witness_isomorphism,
 )
+
+SRC = os.path.dirname(os.path.dirname(twovalued.__file__))
 
 
 class TestMergeChains:
@@ -128,6 +135,22 @@ class TestClassify:
     def test_unipotent_with_factor(self):
         X = product_with_boolean(unipotent(3), 1)
         assert str(classify(X)) == "Unipotent(3,1)"
+
+    def test_principal_branch_fits_in_one_gib(self):
+        # the chain comes from order counts, so no |A| x |A| table (or its
+        # |A|^3 associativity gather) is built for |A| = 512
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from twovalued import classify, principal\n"
+            "print(classify(principal(16, 32)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "Principal(16,32)"
 
 
 class TestAllLabelsOfSize:

@@ -1,7 +1,9 @@
 """GroupFile serialization and the command-line front end."""
 
+import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -18,7 +20,7 @@ from twovalued.cli import (
 )
 from twovalued.classify import classify
 from twovalued.constructions import principal, special_series, unipotent
-from twovalued.core import verify_axioms
+from twovalued.core import MAX_WITNESSES_PER_TAG, TwoValuedGroup, verify_axioms
 
 
 class TestSerialization:
@@ -135,6 +137,36 @@ class TestConstructVerifyClassify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert "strong_identity" in out
+
+    def test_verify_reports_true_violation_count(self, tmp_path, capsys):
+        # a seeded random table with identity row and inverses intact, but
+        # more associativity violations than verify keeps as witnesses
+        rng = random.Random(11)
+        n = 14
+        cells = [[(0, 0)] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                if a == 0:
+                    cell = (b, b)
+                elif a == b:
+                    cell = (0, rng.randrange(n))
+                else:
+                    cell = tuple(rng.sample(range(1, n), 2))
+                cells[a][b] = cells[b][a] = cell
+        X = TwoValuedGroup.from_pairs([f"g{i}" for i in range(n)], cells)
+        t = X.table
+        bad = 0
+        for x, y, z in itertools.product(range(n), repeat=3):
+            lhs = sorted(w for u in t[x][y] for w in t[u][z])
+            rhs = sorted(w for v in t[y][z] for w in t[x][v])
+            bad += lhs != rhs
+        assert bad > MAX_WITNESSES_PER_TAG
+        path = str(tmp_path / "random.json")
+        write_group(X, path)
+        code, out, _ = run(capsys, "verify", path, "--max-violations", "5")
+        assert code == 1
+        assert out.count("violation: associativity") == 5
+        assert out.splitlines()[-1] == f"... and {bad - 5} more violations"
 
     def test_classify_prints_label(self, tmp_path, capsys):
         path = str(tmp_path / "g.json")

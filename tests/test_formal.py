@@ -1,10 +1,14 @@
 """One-parameter algebraic addition law: coefficients, roots, associativity."""
 
 import cmath
+import os
+import subprocess
+import sys
 
 import pytest
 import sympy as sp
 
+import twovalued
 from twovalued.formal import (
     LawParams,
     NearDegenerate,
@@ -124,3 +128,15 @@ def test_commutativity_of_mul2():
         direct = abs(a1 - b1) + abs(a2 - b2)
         crossed = abs(a1 - b2) + abs(a2 - b1)
         assert min(direct, crossed) < 1e-9
+
+
+def test_import_leaves_sympy_unloaded():
+    # only the symbolic routines import sympy, so a fresh import of the
+    # package must not load it
+    code = "import sys, twovalued; print('sympy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(twovalued.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
