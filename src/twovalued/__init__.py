@@ -72,6 +72,17 @@ from .formal import (
     mul2,
     random_sample_suite,
 )
-from .cli import enumerate_all, group_from_json, group_to_json, read_group, write_group
 
 __version__ = "0.1.0"
+
+# Loaded on first use (PEP 562), so that `python -m twovalued.cli` does not
+# find the module already imported by the package.
+_CLI_NAMES = ("enumerate_all", "group_from_json", "group_to_json", "read_group", "write_group")
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

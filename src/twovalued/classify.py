@@ -33,7 +33,7 @@ from .constructions import (
     special_series,
     unipotent,
 )
-from .core import AmbiguousPower, TwoValuedGroup, order
+from .core import AmbiguousPower, TwoValuedGroup, index_dtype, order, x_blocks
 from .cocycle import cohomology_invariant, extract_quasicocycle
 from .structure import is_special, split_direct_factor
 
@@ -256,18 +256,17 @@ def _check_group_table(G: GroupTable):
             raise NotAbelian(f"index 0 is not an identity (element {x})")
         if sorted(t[x]) != list(range(n)):
             raise NotAbelian(f"row {x} is not a permutation")
-    arr = np.array(t, dtype=np.int32)
+    arr = np.array(t, dtype=index_dtype(n))
     if not np.array_equal(arr, arr.T):
         raise NotAbelian("multiplication is not commutative")
-    # (xy)z == x(yz), chunked over x so memory stays bounded
-    chunk = max(1, 4_000_000 // (n * n))
-    for x0 in range(0, n, chunk):
-        rows = arr[x0 : x0 + chunk]
-        left = arr[rows, :]
-        right = rows[:, arr]
+    # (xy)z == x(yz), in blocks of x so memory stays bounded
+    for xs in x_blocks(n):
+        rows = arr[xs]
+        left = np.take(arr, rows, axis=0)
+        right = np.take(rows, arr, axis=1)
         if not np.array_equal(left, right):
             x, y, z = map(int, np.argwhere(left != right)[0])
-            raise NotAssociative(f"first failing triple: {(x0 + x, y, z)}")
+            raise NotAssociative(f"first failing triple: {(xs.start + x, y, z)}")
 
 
 def invariant_factors(G) -> tuple[int, ...]:

@@ -124,11 +124,15 @@ class InvolutiveAutomorphism:
         if len(self.perm) != n or sorted(self.perm) != list(range(n)):
             raise NotAutomorphism("not a permutation of the element indices")
         p = self.perm
-        for i in range(n):
-            for j in range(n):
-                if p[A.add(i, j)] != A.add(p[i], p[j]):
+        # p(a + g) = p(a) + p(g) on the unit vectors g gives additivity on
+        # all pairs by induction on word length, and p(0) = 0 from a = 0
+        k = len(A.factors)
+        units = [A.index(tuple(int(c == u) for c in range(k))) for u in range(k)]
+        for g in units:
+            for i in range(n):
+                if p[A.add(i, g)] != A.add(p[i], p[g]):
                     raise NotAutomorphism(
-                        f"additivity fails at elements {i}, {j}"
+                        f"additivity fails at elements {i}, {g}"
                     )
         for i in range(n):
             if p[p[i]] != i:

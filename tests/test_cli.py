@@ -4,9 +4,12 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import twovalued
 from twovalued.cli import (
     BudgetExceeded,
     NonSquareTable,
@@ -300,3 +303,17 @@ def test_unknown_subcommand_is_usage_error(capsys):
         cli_main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_module_run_prints_no_runtime_warning():
+    # `python -m twovalued.cli` must not find the module already imported
+    # by the package
+    src = os.path.dirname(os.path.dirname(twovalued.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "twovalued.cli",
+         "construct", "--principal", "5"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -201,3 +201,29 @@ def test_unipotent_order_profile(n):
     orders = sorted(order(U, i) for i in range(len(U.names)))
     v = 2**n
     assert orders == [1] + [2] * (v - 1) + [4] * (len(U.names) - v)
+
+
+@pytest.mark.parametrize("factors", [(4,), (2, 2), (6,), (2, 4)])
+def test_generator_check_matches_all_pairs(factors):
+    # checking additivity on the unit generators accepts exactly the
+    # permutations that are additive on all pairs
+    A = FinAbelianGroup(factors)
+    n = A.size
+    perms = list(itertools.permutations(range(n)))
+    if len(perms) > 2000:
+        perms = [p for p in perms if p[0] == 0][::7]
+    found = 0
+    for p in perms:
+        additive = all(
+            p[A.add(i, j)] == A.add(p[i], p[j]) for i in range(n) for j in range(n)
+        )
+        try:
+            InvolutiveAutomorphism(A, p)
+            accepted = True
+        except NotAutomorphism:
+            accepted = False
+        except NotInvolutive:
+            accepted = True
+        assert accepted == additive, p
+        found += additive
+    assert found > 0
