@@ -574,6 +574,7 @@ def canonical_key(X: TwoValuedGroup, perm_budget: int = 1_000_000):
         if total > perm_budget:
             raise ValueError("color classes too symmetric for canonical form")
     sig = tuple(sorted((len(cl), c) for c, cl in zip(sorted(classes), ordered)))
+    t = X.table
     best = None
     for perms in itertools.product(*[itertools.permutations(cl) for cl in ordered]):
         relabel = [0] * n
@@ -586,7 +587,7 @@ def canonical_key(X: TwoValuedGroup, perm_budget: int = 1_000_000):
         for a in range(n):
             ra = relabel[a]
             for b in range(n):
-                p = X.table[a][b]
+                p = t[a][b]
                 q = (relabel[p.lo], relabel[p.hi])
                 tab[ra][relabel[b]] = (min(q), max(q))
         key = tuple(tuple(row) for row in tab)

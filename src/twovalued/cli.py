@@ -500,6 +500,10 @@ def cli_main(argv=None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

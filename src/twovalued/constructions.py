@@ -15,9 +15,12 @@ deterministically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
-from .core import Pair, TwoValuedGroup
+import numpy as np
+
+from .core import TwoValuedGroup, index_dtype
 
 __all__ = [
     "FinAbelianGroup",
@@ -106,6 +109,32 @@ class FinAbelianGroup:
             k += 1
         return k
 
+    def _places(self) -> list[int]:
+        """The index step of each coordinate (the product of the factors
+        after it); the unit vectors' indices, in coordinate order."""
+        return [math.prod(self.factors[k + 1:]) for k in range(len(self.factors))]
+
+    def _add_indices(self, a, b) -> np.ndarray:
+        """Elementwise index of a + b over broadcastable index arrays: the
+        indices are added as integers, then each mixed-radix digit sum that
+        reaches its factor d gives back d times the digit's place value."""
+        dt = np.int32 if 2 * self.size < 1 << 31 else np.int64
+        a = np.asarray(a, dtype=dt)
+        b = np.asarray(b, dtype=dt)
+        out = a + b
+        for d, place in zip(self.factors, self._places()):
+            carry = np.greater_equal(b // place % d, d - a // place % d)
+            np.subtract(out, d * place, out=out, where=carry)
+        return out
+
+    def _neg_indices(self) -> np.ndarray:
+        """The index of -g for every element index g, digit by digit."""
+        g = np.arange(self.size)
+        out = np.zeros_like(g)
+        for d, place in zip(self.factors, self._places()):
+            out += -(g // place) % d * place
+        return out
+
     def name_of(self, idx: int) -> str:
         return ",".join(map(str, self.element(idx))) if self.factors else "0"
 
@@ -117,33 +146,40 @@ class InvolutiveAutomorphism:
 
     group: FinAbelianGroup
     perm: tuple[int, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = self.group
         n = A.size
-        if len(self.perm) != n or sorted(self.perm) != list(range(n)):
+        p = np.asarray(self.perm)
+        if (
+            p.shape != (n,)
+            or p.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(p), np.arange(n))
+        ):
             raise NotAutomorphism("not a permutation of the element indices")
-        p = self.perm
+        p = p.astype(np.intp)
+        object.__setattr__(self, "perm", tuple(p.tolist()))
+        object.__setattr__(self, "_array", p)
         # p(a + g) = p(a) + p(g) on the unit vectors g gives additivity on
         # all pairs by induction on word length, and p(0) = 0 from a = 0
-        k = len(A.factors)
-        units = [A.index(tuple(int(c == u) for c in range(k))) for u in range(k)]
-        for g in units:
-            for i in range(n):
-                if p[A.add(i, g)] != A.add(p[i], p[g]):
-                    raise NotAutomorphism(
-                        f"additivity fails at elements {i}, {g}"
-                    )
-        for i in range(n):
-            if p[p[i]] != i:
-                raise NotInvolutive(f"square of the map moves element {i}")
+        every = np.arange(n)
+        for g in A._places():
+            bad = p[A._add_indices(every, g)] != A._add_indices(p, p[g])
+            if bad.any():
+                raise NotAutomorphism(
+                    f"additivity fails at elements {int(np.argmax(bad))}, {g}"
+                )
+        bad = p[p] != every
+        if bad.any():
+            raise NotInvolutive(f"square of the map moves element {int(np.argmax(bad))}")
 
     def __call__(self, i: int) -> int:
         return self.perm[i]
 
     @classmethod
     def negation(cls, A: FinAbelianGroup) -> "InvolutiveAutomorphism":
-        return cls(A, tuple(A.neg(i) for i in range(A.size)))
+        return cls(A, A._neg_indices())
 
     @classmethod
     def from_map(cls, A: FinAbelianGroup, f) -> "InvolutiveAutomorphism":
@@ -160,27 +196,19 @@ def coset_group(A: FinAbelianGroup, iota: InvolutiveAutomorphism) -> TwoValuedGr
     """
     if iota.group != A:
         raise ValueError("automorphism belongs to a different group")
-    n = A.size
-    orbit_of = [-1] * n
-    reps: list[int] = []
-    # A.element is lex-increasing in the index, so scanning indices in order
-    # makes each orbit's first-seen member its smallest representative.
-    for i in range(n):
-        if orbit_of[i] == -1:
-            k = len(reps)
-            orbit_of[i] = k
-            orbit_of[iota(i)] = k
-            reps.append(i)
-    names = tuple(A.name_of(r) for r in reps)
-    table = []
-    for gi in reps:
-        row = []
-        for hi in reps:
-            z1 = orbit_of[A.add(gi, hi)]
-            z2 = orbit_of[A.add(gi, iota(hi))]
-            row.append(Pair.of(z1, z2))
-        table.append(tuple(row))
-    return TwoValuedGroup(names=names, table=tuple(table))
+    p = iota._array
+    # the orbit of g is {g, iota(g)}; its smallest index is its smallest
+    # tuple, since A.element is lex-increasing in the index
+    every = np.arange(A.size)
+    rep = np.minimum(every, p)
+    reps = np.flatnonzero(rep == every)
+    n = len(reps)
+    orbit_of = np.searchsorted(reps, rep).astype(index_dtype(n))
+    g = reps[:, None]
+    z1 = orbit_of[A._add_indices(g, reps)]
+    z2 = orbit_of[A._add_indices(g, p[reps])]
+    names = tuple(map(A.name_of, reps.tolist()))
+    return TwoValuedGroup.from_arrays(names, np.minimum(z1, z2), np.maximum(z1, z2))
 
 
 def principal(*chain: int) -> TwoValuedGroup:
@@ -205,12 +233,10 @@ def unipotent(n: int) -> TwoValuedGroup:
     if n < 1:
         raise ValueError("rank must be >= 1")
     A = FinAbelianGroup((2,) * (2 * n))
-    # first n coordinates are a, last n are b; iota(a, b) = (a, a + b)
-    def f(el: tuple[int, ...]) -> tuple[int, ...]:
-        a, b = el[:n], el[n:]
-        return a + tuple((x + y) % 2 for x, y in zip(a, b))
-
-    return coset_group(A, InvolutiveAutomorphism.from_map(A, f))
+    # the index is the bit string a|b, first n coordinates a (high bits) and
+    # last n coordinates b; iota(a, b) = (a, a + b) xors a into the low bits
+    g = np.arange(A.size)
+    return coset_group(A, InvolutiveAutomorphism(A, g ^ (g >> n)))
 
 
 def special_series(n: int) -> TwoValuedGroup:
@@ -234,25 +260,18 @@ def special_series(n: int) -> TwoValuedGroup:
     names += ["".join(map(str, _bits(v, n))) for v in range(1, nv)]
     names.append("s")
     size = nv + 1
-
-    def cell(i: int, j: int) -> Pair:
-        if i == 0:
-            return Pair.of(j, j)
-        if j == 0:
-            return Pair.of(i, i)
-        if i == s and j == s:
-            return Pair.of(0, 0)
-        if i == s:
-            return Pair.of(j, j)
-        if j == s:
-            return Pair.of(i, i)
-        if i == j:
-            return Pair.of(0, s)
-        z = i ^ j  # xor of masks = sum in V
-        return Pair.of(z, z)
-
-    table = tuple(tuple(cell(i, j) for j in range(size)) for i in range(size))
-    return TwoValuedGroup(names=tuple(names), table=table)
+    dt = index_dtype(size)
+    lo = np.empty((size, size), dtype=dt)
+    # V x V: x*y = [x+y, x+y], the xor of the masks (e doubles, x*x = [e, .])
+    lo[:nv, :nv] = np.bitwise_xor.outer(np.arange(nv), np.arange(nv))
+    # row and column of s: s*e = [s, s], s*x = [x, x], s*s = [e, e]
+    edge = np.arange(size)
+    edge[0], edge[s] = s, 0
+    lo[s, :] = lo[:, s] = edge
+    hi = lo.copy()
+    x = np.arange(1, nv)
+    hi[x, x] = s  # x*x = [e, s]
+    return TwoValuedGroup.from_arrays(names, lo, hi)
 
 
 def _bits(v: int, n: int) -> tuple[int, ...]:
@@ -277,17 +296,12 @@ def product_with_boolean(X: TwoValuedGroup, m: int) -> TwoValuedGroup:
         for w in range(nw)
         for x in range(n)
     )
-    table = []
-    for w1 in range(nw):
-        for x1 in range(n):
-            row = []
-            for w2 in range(nw):
-                w = w1 ^ w2
-                for x2 in range(n):
-                    p = X.table[x1][x2]
-                    row.append(Pair.of(w * n + p.lo, w * n + p.hi))
-            table.append(tuple(row))
-    return TwoValuedGroup(names=names, table=tuple(table))
+    dt = index_dtype(n * nw)
+    shift = np.bitwise_xor.outer(np.arange(nw), np.arange(nw)).astype(dt) * dt.type(n)
+    shift = shift[:, None, :, None]  # (w1, ., w2, .) -> (w1 ^ w2) * n
+    lo = (shift + X.lo.astype(dt)[:, None, :]).reshape(n * nw, n * nw)
+    hi = (shift + X.hi.astype(dt)[:, None, :]).reshape(n * nw, n * nw)
+    return TwoValuedGroup.from_arrays(names, lo, hi)
 
 
 def double(A: FinAbelianGroup) -> TwoValuedGroup:

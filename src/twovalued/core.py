@@ -8,7 +8,9 @@ fixed tuple of names; index 0 is always the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -86,38 +88,101 @@ class AmbiguousPower(Exception):
     """
 
 
-@dataclass(frozen=True)
 class TwoValuedGroup:
     """A finite two-valued group as an explicit multiplication table.
 
-    table[i][j] is the unordered pair i*j.  names are unique display labels;
-    names[0] is the identity.  Construction validates shape only -- use
-    verify_axioms to check the actual axioms.
+    The table is stored once, as two read-only index_dtype(n) arrays: i*j is
+    the unordered pair [lo[i, j], hi[i, j]] with lo <= hi.  table[i][j] is
+    the same pair as a Pair; that view is built on first access (or kept
+    from the table= argument).  names are unique display labels; names[0]
+    is the identity.  Construction validates shape only -- use verify_axioms
+    to check the actual axioms.
     """
 
-    names: tuple[str, ...]
-    table: tuple[tuple[Pair, ...], ...]
-    identity: int = 0
-    # per-instance caches for power sequences and orders
-    _pow_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _ord_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    identity = 0
 
-    def __post_init__(self):
-        n = len(self.names)
+    def __init__(self, names: Sequence[str], table, identity: int = 0):
+        names = tuple(names)
+        n = len(names)
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError("multiplication table must be n x n")
+        table = tuple(map(tuple, table))
+        if not all(map(isinstance, chain.from_iterable(table), repeat(Pair))):
+            raise ValueError("table cells must be Pairs")
+        try:
+            lo, hi = (
+                np.fromiter(
+                    map(itemgetter(k), chain.from_iterable(table)),
+                    dtype=index_dtype(n), count=n * n,
+                ).reshape(n, n)
+                for k in (0, 1)
+            )
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError("table cells must hold element indices") from None
+        self._init(names, lo, hi, identity)
+        vars(self)["table"] = table
+
+    @classmethod
+    def from_arrays(cls, names: Sequence[str], lo, hi) -> "TwoValuedGroup":
+        """The group whose product i*j is [lo[i, j], hi[i, j]]; lo and hi are
+        n x n integer arrays with lo <= hi, copied into index_dtype(n)."""
+        X = cls.__new__(cls)
+        X._init(tuple(names), np.array(lo, order="C"), np.array(hi, order="C"), 0)
+        return X
+
+    def _init(self, names, lo, hi, identity):
+        """Validate the cells and keep lo and hi, which the group owns."""
+        n = len(names)
         if n == 0:
             raise ValueError("empty element set")
-        if len(set(self.names)) != n:
+        if len(set(names)) != n:
             raise ValueError("element names must be unique")
-        if self.identity != 0:
+        if identity != 0:
             raise ValueError("identity must sit at index 0")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        if lo.shape != (n, n) or hi.shape != (n, n):
             raise ValueError("multiplication table must be n x n")
-        for row in self.table:
-            for p in row:
-                if not isinstance(p, Pair) or p.lo > p.hi:
-                    raise ValueError(f"table cell {p!r} is not a sorted Pair")
-                if not (0 <= p.lo < n and 0 <= p.hi < n):
-                    raise ValueError(f"table cell {p} out of range")
+        if lo.dtype.kind not in "iu" or hi.dtype.kind not in "iu":
+            raise ValueError("table cells must hold element indices")
+        unsorted = np.argwhere(lo > hi)
+        if len(unsorted):
+            i, j = unsorted[0]
+            raise ValueError(
+                f"table cell ({i}, {j}) = [{lo[i, j]}, {hi[i, j]}] is not sorted"
+            )
+        if lo.min() < 0 or hi.max() >= n:
+            raise ValueError(f"table cell out of range 0..{n - 1}")
+        lo, hi = (a.astype(index_dtype(n), copy=False) for a in (lo, hi))
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        vars(self).update(names=names, lo=lo, hi=hi, _pow_cache={}, _ord_cache={})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @cached_property
+    def table(self) -> tuple[tuple[Pair, ...], ...]:
+        """table[i][j] is the Pair i*j.  Each read of X.table looks past
+        this descriptor to the cached view, so loops bind it to a local."""
+        pair = partial(tuple.__new__, Pair)
+        return tuple(
+            tuple(map(pair, zip(lr.tolist(), hr.tolist())))
+            for lr, hr in zip(self.lo, self.hi)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, TwoValuedGroup):
+            return NotImplemented
+        return (
+            self.names == other.names
+            and np.array_equal(self.lo, other.lo)
+            and np.array_equal(self.hi, other.hi)
+        )
+
+    def __hash__(self):
+        return hash((self.names, self.lo.tobytes(), self.hi.tobytes()))
+
+    def __repr__(self):
+        return f"TwoValuedGroup(names={self.names!r}, table={self.table!r})"
 
     @classmethod
     def from_pairs(
@@ -180,17 +245,6 @@ def x_blocks(n: int) -> list[slice]:
     every block holds at least one x."""
     step = max(1, _SWEEP_BLOCK_BYTES // (n * n * index_dtype(n).itemsize))
     return [slice(x0, min(n, x0 + step)) for x0 in range(0, n, step)]
-
-
-def _int_tables(X: TwoValuedGroup) -> tuple[np.ndarray, np.ndarray]:
-    """The lo and hi halves of the table as contiguous index_dtype arrays."""
-    n = len(X)
-    cells = np.fromiter(
-        chain.from_iterable(chain.from_iterable(X.table)),
-        dtype=index_dtype(n),
-        count=2 * n * n,
-    ).reshape(n, n, 2)
-    return cells[..., 0].copy(), cells[..., 1].copy()
 
 
 def _merge_pairs(a, b, c, d) -> tuple[np.ndarray, ...]:
@@ -288,7 +342,7 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     """
     n = len(X)
     e = X.identity
-    lo, hi = _int_tables(X)
+    lo, hi = X.lo, X.hi
     violations: list[tuple[str, tuple[int, ...]]] = []
     counts = {tag: 0 for tag in AXIOM_TAGS}
 
@@ -359,10 +413,11 @@ def _power_sequence(X: TwoValuedGroup, x: int) -> list[int]:
         return seq
     # defensive cap: a valid sequence returns to e within 2n steps
     cap = 2 * len(X) + 2
+    t = X.table
     while len(seq) <= cap:
         prev, cur = seq[-2], seq[-1]
-        p = X.table[x][cur]
-        q = X.table[cur][x]
+        p = t[x][cur]
+        q = t[cur][x]
         if p != q:
             raise AmbiguousPower(
                 f"x*x^k and x^k*x differ for x={x}, k={len(seq) - 1}"

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AmbiguousPower, Pair, TwoValuedGroup, order, power
+import numpy as np
+
+from .core import AmbiguousPower, TwoValuedGroup, order, power
 
 __all__ = [
     "UNDEFINED",
@@ -125,10 +127,11 @@ def is_special(X: TwoValuedGroup) -> tuple[bool, list[tuple[int, int]]]:
     Returns the verdict and every witness pair (x <= y, sorted)."""
     n = len(X)
     big = [x for x in range(n) if order(X, x) > 2]
+    t = X.table
     witnesses = []
     for i, x in enumerate(big):
         for y in big[i:]:
-            if X.table[x][y].is_doubled:
+            if t[x][y].is_doubled:
                 witnesses.append((x, y))
     return (bool(witnesses), witnesses)
 
@@ -186,6 +189,9 @@ def quotient(
     members = frozenset(Y)
     _check_subgroup(X, members)
     n = len(X)
+    m = sorted(members)
+    # the products x*y, y in Y, as one list of neighbours per x
+    near = np.concatenate([X.lo[:, m], X.hi[:, m]], axis=1).tolist()
     cls = [-1] * n
     reps: list[int] = []
     for x in range(n):
@@ -196,22 +202,15 @@ def quotient(
         cls[x] = k
         stack = [x]
         while stack:
-            a = stack.pop()
-            for y in members:
-                p = X.table[a][y]
-                for b in (p.lo, p.hi):
-                    if cls[b] == -1:
-                        cls[b] = k
-                        stack.append(b)
+            for b in near[stack.pop()]:
+                if cls[b] == -1:
+                    cls[b] = k
+                    stack.append(b)
     names = tuple(X.names[r] for r in reps)
-    table = []
-    for r in reps:
-        row = []
-        for s in reps:
-            p = X.table[r][s]
-            row.append(Pair.of(cls[p.lo], cls[p.hi]))
-        table.append(tuple(row))
-    return TwoValuedGroup(names=names, table=tuple(table)), cls
+    proj = np.array(cls)
+    block = np.ix_(reps, reps)
+    z1, z2 = proj[X.lo[block]], proj[X.hi[block]]
+    return TwoValuedGroup.from_arrays(names, np.minimum(z1, z2), np.maximum(z1, z2)), cls
 
 
 @dataclass
@@ -332,6 +331,32 @@ def _solve_f2(rows, nvars: int):
     return sol
 
 
+def _sign_rows(X: TwoValuedGroup) -> list[int]:
+    """The equations f(x) f(y) f(z) = 1, z in x*y, x <= y, of a sign
+    homomorphism f as distinct F2 rows (bit x ^ bit y ^ bit z), sorted.
+
+    Each triple is reduced to the elements of odd multiplicity before any
+    Python int is made: (u, u, u) stands for a single bit u."""
+    n = len(X)
+    dt = np.int32 if n ** 3 < 1 << 31 else np.int64
+    x, y = (v.astype(dt) for v in np.triu_indices(n))
+    keys = []
+    for z in (X.lo[x, y].astype(dt), X.hi[x, y].astype(dt)):
+        # an element that appears twice cancels
+        cancels = (x == y) | (z == x) | (z == y)
+        single = np.where(x == y, z, np.where(z == x, y, x))
+        a, c = np.minimum(x, z), np.maximum(y, z)
+        b = x + y + z - a - c
+        keys.append(np.where(cancels, single * (n * n + n + 1), (a * n + b) * n + c))
+    keys = np.sort(np.concatenate(keys))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    a, b, c = keys // (n * n), keys // n % n, keys % n
+    return sorted(
+        (1 << i) ^ (1 << j) ^ (1 << k)
+        for i, j, k in zip(a.tolist(), b.tolist(), c.tolist())
+    )
+
+
 def split_direct_factor(X: TwoValuedGroup) -> tuple[TwoValuedGroup, int, list[str]]:
     """Strip off single-valued C2 direct factors one at a time.
 
@@ -355,15 +380,9 @@ def split_direct_factor(X: TwoValuedGroup) -> tuple[TwoValuedGroup, int, list[st
                 break
         if w is None:
             return cur, m, witnesses
-        rows = set()
-        for x in range(n):
-            for y in range(x, n):
-                p = cur.table[x][y]
-                for z in (p.lo, p.hi):
-                    rows.add((1 << x) ^ (1 << y) ^ (1 << z))
-        rows.discard(0)
-        rows.add((1 << w) | (1 << n))  # f(w) = -1
-        sol = _solve_f2(sorted(rows), n)
+        rows = _sign_rows(cur)
+        rows.append((1 << w) | (1 << n))  # f(w) = -1
+        sol = _solve_f2(rows, n)
         if sol is None:
             raise InconsistentSystem(
                 f"no sign homomorphism separates element {cur.names[w]}"

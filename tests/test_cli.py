@@ -317,3 +317,24 @@ def test_module_run_prints_no_runtime_warning():
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_oversized_construct_fails_with_exit_two():
+    # the child caps its own address space at 1 GiB before it starts; the
+    # 2^40-element underlying group cannot be allocated, which must end in
+    # a message and exit code 2, not a traceback (the timeout only guards
+    # against a hang)
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(twovalued.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twovalued.cli", "construct", "--unipotent", "20"],
+        env=env, capture_output=True, text=True, preexec_fn=cap, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

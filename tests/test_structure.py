@@ -237,3 +237,34 @@ def test_quotient_of_unipotent_by_v_is_doubled_boolean():
     rep = verify_axioms(Q)
     assert rep.is_two_valued_group
     assert all(p.is_doubled for row in Q.table for p in row)
+
+
+def _loop_sign_rows(X):
+    # the per-cell loop split_direct_factor used to build its F2 rows with
+    rows = set()
+    n = len(X)
+    for x in range(n):
+        for y in range(x, n):
+            p = X.table[x][y]
+            for z in (p.lo, p.hi):
+                rows.add((1 << x) ^ (1 << y) ^ (1 << z))
+    rows.discard(0)
+    return sorted(rows)
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        principal(2),
+        principal(5),
+        product_with_boolean(principal(4, 8), 1),
+        product_with_boolean(principal(3, 9), 2),
+        product_with_boolean(unipotent(3), 1),
+        product_with_boolean(special_series(3), 2),
+    ],
+    ids=["p2", "p5", "p4x8_m1", "p3x9_m2", "u3_m1", "s3_m2"],
+)
+def test_sign_rows_match_per_cell_loop(X):
+    from twovalued.structure import _sign_rows
+
+    assert _sign_rows(X) == _loop_sign_rows(X)
