@@ -10,12 +10,15 @@ where the principal chain is in invariant-factor form.  The low-rank
 unipotent and special groups coincide with principal ones and are
 canonicalized away (rank 1 and the rank-2 unipotent case).
 
-classify() runs the decision procedure: strip single-valued C2 factors,
-detect special pairs, and, when an element of order outside {1,2,4} exists,
-read the invariant factors of A (with X = A modulo negation) off the counts
-of element orders; otherwise read off the quasi-cocycle and its cohomology
-class.  reconstruct_abelian rebuilds A as an explicit group table and is the
-independent certificate for the principal branch; classify does not call it.
+classify() runs the decision procedure on X = X' x C2^m, where X' has no
+single-valued C2 factor: detect special pairs (read n and m off |X|); when an
+element of order outside {1,2,4} exists, read the invariant factors of A
+(with X = A modulo negation) off the counts of element orders; otherwise
+strip the C2 factors and read off the quasi-cocycle of X' and its cohomology
+class.  The first two steps need no split, because X and X' agree on special
+pairs and on orders outside {1,2,4}.  reconstruct_abelian rebuilds A as an
+explicit group table and is the independent certificate for the principal
+branch; classify does not call it.
 """
 
 from __future__ import annotations
@@ -375,27 +378,34 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
 def classify(X: TwoValuedGroup) -> ClassLabel:
     """Decide the isomorphism class of a finite involutive commutative
     two-valued group (assumed valid; run verify_axioms first for untrusted
-    input)."""
-    Xp, m, _witnesses = split_direct_factor(X)
-    special, _ = is_special(Xp)
+    input).
+
+    Steps, in order: special pairs (|X| = 2^m (2^n + 1)); order counts, when
+    an order lies outside {1, 2, 4} (X' = A/+- makes X = (A x C2^m)/+-);
+    otherwise split X = X' x C2^m and read the cocycle class of X'.
+    """
+    n = len(X)
+    special, _ = is_special(X)
     if special:
-        sz = len(Xp)
-        n = (sz - 1).bit_length() - 1
-        if sz != (1 << n) + 1 or n < 2:
+        m = (n & -n).bit_length() - 1
+        sz = n >> m
+        k = (sz - 1).bit_length() - 1
+        if sz != (1 << k) + 1 or k < 2:
             raise ValueError(
                 f"special part has size {sz}, not of the form 2^n + 1 with n >= 2"
             )
-        return ClassLabel.special_label(n, m)
-    orders = [order(Xp, x) for x in range(len(Xp))]
+        return ClassLabel.special_label(k, m)
+    orders = [order(X, x) for x in range(n)]
     if any(o not in (1, 2, 4) for o in orders):
-        # X' = A/+-: the orbit of a has order ord(a) and 1 or 2 elements
+        # X = A/+-: the orbit of a has order ord(a) and 1 or 2 elements
         sizes = [1 if o <= 2 else 2 for o in orders]
         chain = _chain_from_counts(
             sum(sizes), lambda k: sum(s for o, s in zip(orders, sizes) if k % o == 0)
         )
-        if ClassLabel.principal_label(chain).size() != len(Xp):
-            raise ValueError(f"order counts give {chain}, not a group of size {len(Xp)}")
-        return ClassLabel.principal_label(merge_chains(chain, (2,) * m))
+        if ClassLabel.principal_label(chain).size() != n:
+            raise ValueError(f"order counts give {chain}, not a group of size {n}")
+        return ClassLabel.principal_label(chain)
+    Xp, m, _witnesses = split_direct_factor(X)
     if len(Xp) == 1:
         return ClassLabel.principal_label((2,) * m)
     data = extract_quasicocycle(Xp)

@@ -105,7 +105,7 @@ def group_from_json(text: str) -> TwoValuedGroup:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or any(c not in idx for c in cell)
+                or not all(isinstance(c, str) and c in idx for c in cell)
             ):
                 raise ParseError(
                     f"cell ({i},{j}) must be a 2-element list of element names"
@@ -496,7 +496,14 @@ def cli_main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`); send what is left in
+        # the buffer to devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1

@@ -313,11 +313,8 @@ def cohomology_invariant(phi: QuasiCocycle) -> int:
         return 0
     cur = phi
     if cur.dim > 3:
-        s = cur.dim - 3
-        base = cur
-        cur = QuasiCocycle.from_function(
-            3, lambda u, v: base.phi(u << s, v << s) >> s
-        )
+        unit = [1 << (cur.dim - 1 - i) for i in range(cur.dim)]
+        cur = restrict_along(cur, unit[:3], unit[3:])
         if not validate_quasicocycle(cur):
             raise InvalidCocycle("restriction to dim 3 is not a quasi-cocycle")
     lam = _lambda_table(cur)
@@ -360,27 +357,11 @@ def restrict_along(phi: QuasiCocycle, u_basis, k_basis) -> QuasiCocycle:
         k_basis
     ) != dim:
         raise ValueError("u_basis and k_basis must jointly form a basis")
-    # decompose every vector as U-part (in U coordinates) + complement
-    proj: dict[int, int] = {}
-    for a in range(1 << k):
-        ua = 0
-        for i in range(k):
-            if (a >> (k - 1 - i)) & 1:
-                ua ^= u_basis[i]
-        for b in range(1 << (dim - k)):
-            w = ua
-            for j in range(dim - k):
-                if (b >> (dim - k - 1 - j)) & 1:
-                    w ^= k_basis[j]
-            proj[w] = a
-    # embed: U-coords -> ambient vector with zero complement part
-    embed = {}
-    for a in range(1 << k):
-        w = 0
-        for i in range(k):
-            if (a >> (k - 1 - i)) & 1:
-                w ^= u_basis[i]
-        embed[a] = w
+    # embed: U-coords -> ambient vector with zero complement part; proj
+    # sends every U-part + complement vector back to its U-coords
+    embed = [apply_linear(u_basis, a) for a in range(1 << k)]
+    comp = [apply_linear(k_basis, b) for b in range(1 << (dim - k))]
+    proj = {w ^ c: a for a, w in enumerate(embed) for c in comp}
     return QuasiCocycle.from_function(
         k, lambda a, b: proj[phi.phi(embed[a], embed[b])]
     )

@@ -103,11 +103,8 @@ class FinAbelianGroup:
         return self.index(tuple((-x) % d for x, d in zip(a, self.factors)))
 
     def order_of(self, i: int) -> int:
-        k, acc = 1, i
-        while acc != 0:
-            acc = self.add(acc, i)
-            k += 1
-        return k
+        el = self.element(i)
+        return math.lcm(*(d // math.gcd(a, d) for a, d in zip(el, self.factors)))
 
     def _places(self) -> list[int]:
         """The index step of each coordinate (the product of the factors

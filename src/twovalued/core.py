@@ -154,7 +154,7 @@ class TwoValuedGroup:
         lo, hi = (a.astype(index_dtype(n), copy=False) for a in (lo, hi))
         lo.setflags(write=False)
         hi.setflags(write=False)
-        vars(self).update(names=names, lo=lo, hi=hi, _pow_cache={}, _ord_cache={})
+        vars(self).update(names=names, lo=lo, hi=hi, _pow_cache={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -205,9 +205,6 @@ class TwoValuedGroup:
             return self.names.index(name)
         except ValueError:
             raise KeyError(f"no element named {name!r}") from None
-
-    def product(self, x: int, y: int) -> Pair:
-        return self.table[x][y]
 
 
 def product(X: TwoValuedGroup, x: int, y: int) -> Pair:
@@ -451,9 +448,4 @@ def power(X: TwoValuedGroup, x: int, k: int) -> int:
 
 def order(X: TwoValuedGroup, x: int) -> int:
     """Least k >= 1 with x^k = e."""
-    if x in X._ord_cache:
-        return X._ord_cache[x]
-    seq = _power_sequence(X, x)
-    m = max(1, len(seq) - 1)
-    X._ord_cache[x] = m
-    return m
+    return max(1, len(_power_sequence(X, x)) - 1)

@@ -1,5 +1,6 @@
 """Classification: labels, reconstruction, isomorphism decision, search."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -135,6 +136,27 @@ class TestClassify:
     def test_unipotent_with_factor(self):
         X = product_with_boolean(unipotent(3), 1)
         assert str(classify(X)) == "Unipotent(3,1)"
+
+    def test_only_cocycle_branch_splits_c2_factors(self, monkeypatch):
+        # X = X' x C2^m has the special pairs of X' and its orders outside
+        # {1, 2, 4}, so the principal and special branches never split
+        module = importlib.import_module("twovalued.classify")
+        real = module.split_direct_factor
+
+        def refuse(X):
+            raise AssertionError("split_direct_factor called")
+
+        monkeypatch.setattr(module, "split_direct_factor", refuse)
+        X = product_with_boolean(principal(3, 9), 2)
+        assert str(classify(X)) == "Principal(6,18)"
+        assert str(classify(product_with_boolean(special_series(3), 2))) == "Special(3,2)"
+
+        calls = []
+        monkeypatch.setattr(
+            module, "split_direct_factor", lambda X: calls.append(X) or real(X)
+        )
+        assert str(classify(product_with_boolean(unipotent(3), 1))) == "Unipotent(3,1)"
+        assert len(calls) == 1
 
     def test_principal_branch_fits_in_one_gib(self):
         # the chain comes from order counts, so no |A| x |A| table (or its

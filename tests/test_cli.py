@@ -338,3 +338,38 @@ def test_oversized_construct_fails_with_exit_two():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def _cli_child(*argv, **kwargs):
+    src = os.path.dirname(os.path.dirname(twovalued.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "twovalued.cli", *argv],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=300, **kwargs,
+    )
+
+
+def test_non_string_cell_entry_is_parse_error(tmp_path):
+    doc = json.loads(group_to_json(principal(5)))
+    doc["table"][0][0] = [["e"], "e"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = _cli_child("verify", str(path), stdout=subprocess.PIPE)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cell (0,0)")
+    assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE, as under `twovalued enumerate 4 --all | head -1`
+    # once head has exited
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _cli_child("enumerate", "4", "--all", stdout=w)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
