@@ -36,7 +36,7 @@ from .constructions import (
     special_series,
     unipotent,
 )
-from .core import AmbiguousPower, TwoValuedGroup, index_dtype, order, x_blocks
+from .core import AmbiguousPower, TwoValuedGroup, _element, _orders, index_dtype, order, x_blocks
 from .cocycle import cohomology_invariant, extract_quasicocycle
 from .structure import is_special, split_direct_factor
 
@@ -243,33 +243,37 @@ class GroupTable:
     def size(self) -> int:
         return len(self.table)
 
-    def order_of(self, x: int) -> int:
-        k, acc = 1, x
-        while acc != 0:
-            acc = self.table[acc][x]
-            k += 1
-        return k
 
-
-def _check_group_table(G: GroupTable):
-    n = G.size
-    t = G.table
-    for x in range(n):
-        if t[0][x] != x or t[x][0] != x:
-            raise NotAbelian(f"index 0 is not an identity (element {x})")
-        if sorted(t[x]) != list(range(n)):
-            raise NotAbelian(f"row {x} is not a permutation")
-    arr = np.array(t, dtype=index_dtype(n))
-    if not np.array_equal(arr, arr.T):
+def _table_chain(t: np.ndarray) -> tuple[int, ...]:
+    """Invariant-factor chain of the abelian group with n x n index table
+    t, after checking the group axioms on it: NotAbelian or
+    NotAssociative when they fail."""
+    n = len(t)
+    every = np.arange(n)
+    bad = np.flatnonzero((t[0] != every) | (t[:, 0] != every))
+    if len(bad):
+        raise NotAbelian(f"index 0 is not an identity (element {bad[0]})")
+    bad = np.flatnonzero((np.sort(t, axis=1) != every).any(axis=1))
+    if len(bad):
+        raise NotAbelian(f"row {bad[0]} is not a permutation")
+    t = t.astype(index_dtype(n))
+    if not np.array_equal(t, t.T):
         raise NotAbelian("multiplication is not commutative")
     # (xy)z == x(yz), in blocks of x so memory stays bounded
     for xs in x_blocks(n):
-        rows = arr[xs]
-        left = np.take(arr, rows, axis=0)
-        right = np.take(rows, arr, axis=1)
+        rows = t[xs]
+        left = np.take(t, rows, axis=0)
+        right = np.take(rows, t, axis=1)
         if not np.array_equal(left, right):
             x, y, z = map(int, np.argwhere(left != right)[0])
             raise NotAssociative(f"first failing triple: {(xs.start + x, y, z)}")
+    # x^k for all x at once; a finished x stays at 0
+    orders = np.ones(n, dtype=np.intp)
+    acc = every
+    while (live := acc != 0).any():
+        acc = np.where(live, t[acc, every], 0)
+        orders += live
+    return _chain_from_counts(n, lambda k: np.count_nonzero(k % orders == 0))
 
 
 def invariant_factors(G) -> tuple[int, ...]:
@@ -281,9 +285,7 @@ def invariant_factors(G) -> tuple[int, ...]:
     """
     if isinstance(G, FinAbelianGroup):
         return merge_chains(G.factors, ())
-    _check_group_table(G)
-    orders = [G.order_of(x) for x in range(G.size)]
-    return _chain_from_counts(G.size, lambda k: sum(1 for o in orders if k % o == 0))
+    return _table_chain(np.array(G.table, dtype=np.intp).reshape(G.size, G.size))
 
 
 @dataclass
@@ -312,66 +314,69 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
     where p', q' are the companions of p, q in t*x, t*y.  NonUniquePair if a
     product is not pinned down, NotAssociative if the result fails the group
     axioms.  With t omitted, the smallest admissible element index is used.
+    The conditions are tested on blocks of rows of the pair table, for the
+    at most four candidates z in x*y, r in t*z of each product.
     """
     special, pairs_w = is_special(X)
     if special:
         raise ValueError(f"group has special pairs, e.g. {pairs_w[0]}")
+    orders = _orders(X)
     if t is None:
-        for x in range(len(X)):
-            if order(X, x) not in (1, 2, 4):
-                t = x
-                break
-        if t is None:
+        admissible = np.flatnonzero((orders == 3) | (orders > 4))
+        if not len(admissible):
             raise ValueError("no element of order outside {1, 2, 4}")
-    elif order(X, t) in (1, 2, 4):
-        raise ValueError(f"t = {t} has order {order(X, t)}")
+        t = int(admissible[0])
+    else:
+        t = _element(X, t)
+        if orders[t] in (1, 2, 4):
+            raise ValueError(f"t = {t} has order {orders[t]}")
 
-    n = len(X)
-    tab = X.table
-    A: list[tuple[int, int]] = []
-    for x in range(n):
-        p = tab[t][x]
-        A.append((x, p.lo))
-        if p.hi != p.lo:
-            A.append((x, p.hi))
-    pos = {a: i for i, a in enumerate(A)}
-    na = len(A)
+    L, H = X.lo, X.hi
+    t_lo, t_hi = L[t], H[t]
+    # A in order of x, then p = lo before p = hi; (x, t_lo[x]) sits at start[x]
+    width = 1 + (t_lo != t_hi)
+    start = np.cumsum(width) - width
+    y = np.repeat(np.arange(len(X)), width)
+    second = np.arange(len(y)) - start[y]
+    q = np.where(second, t_hi[y], t_lo[y])
+    qq = np.where(second, t_lo[y], t_hi[y])  # the companion q'
+    pairs = tuple(zip(y.tolist(), q.tolist()))
+    na = len(pairs)
 
-    def companion(x: int, p: int) -> int:
-        return tab[t][x].other(p)
+    def has(u, v, z):
+        """z in u*v, cellwise."""
+        return (L[u, v] == z) | (H[u, v] == z)
 
-    def mul(a: tuple[int, int], b: tuple[int, int]) -> int:
-        x, p = a
-        y, q = b
-        pp = companion(x, p)
-        qq = companion(y, q)
-        zs = (
-            set(tab[x][y].support())
-            & set(tab[p][qq].support())
-            & set(tab[pp][q].support())
-        )
-        found = []
-        for z in zs:
-            for r in set(tab[t][z].support()):
-                if r not in tab[x][q] or r not in tab[p][y]:
-                    continue
-                rr = tab[t][z].other(r)
-                if rr not in tab[x][qq] or rr not in tab[pp][y]:
-                    continue
-                found.append((z, r))
-        if len(found) != 1:
-            raise NonUniquePair(
-                f"product of {a} and {b}: candidates {sorted(found)}"
-            )
-        return pos[found[0]]
+    table = np.empty((na, na), dtype=np.intp)
+    step = max(1, (1 << 16) // na)  # rows per block of about 64K cells
+    for a0 in range(0, na, step):
+        rows = slice(a0, a0 + step)
+        x, p, pp = y[rows, None], q[rows, None], qq[rows, None]
+        hits = []  # (ok, z, r, index of (z, r) in A) per candidate
+        z_lo, z_hi = L[x, y], H[x, y]
+        for z, new_z in ((z_lo, True), (z_hi, z_lo != z_hi)):
+            ok_z = new_z & has(p, qq, z) & has(pp, q, z)
+            r_lo, r_hi = t_lo[z], t_hi[z]
+            for r, rr, u in ((r_lo, r_hi, 0), (r_hi, r_lo, 1)):
+                ok = ok_z & (r_lo != r_hi) if u else ok_z
+                ok = ok & has(x, q, r) & has(p, y, r) & has(x, qq, rr) & has(pp, y, rr)
+                hits.append((ok, z, r, start[z] + u))
+        count = sum(ok for ok, *_ in hits)
+        if (count != 1).any():
+            i, j = np.argwhere(count != 1)[0]
+            found = sorted((int(z[i, j]), int(r[i, j])) for ok, z, r, _ in hits if ok[i, j])
+            raise NonUniquePair(f"product of {pairs[a0 + i]} and {pairs[j]}: candidates {found}")
+        table[rows] = sum(np.where(ok, pos, 0) for ok, _, _, pos in hits)
 
-    table = tuple(tuple(mul(a, b) for b in A) for a in A)
-    G = GroupTable(table=table, labels=tuple(f"({X.names[x]};{X.names[p]})" for x, p in A))
+    G = GroupTable(
+        table=tuple(map(tuple, table.tolist())),
+        labels=tuple(f"({X.names[x]};{X.names[p]})" for x, p in pairs),
+    )
     # (0, t) sits at index 0 because t*e = [t, t] contributes exactly one
-    # pair; invariant_factors checks the group axioms on the table
-    chain = invariant_factors(G)
+    # pair; _table_chain checks the group axioms on the table
+    chain = _table_chain(table)
     return ReconstructionResult(
-        abelian=FinAbelianGroup(chain), chain=chain, table=G, t=t, pairs=tuple(A)
+        abelian=FinAbelianGroup(chain), chain=chain, table=G, t=t, pairs=pairs
     )
 
 
@@ -395,13 +400,11 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
                 f"special part has size {sz}, not of the form 2^n + 1 with n >= 2"
             )
         return ClassLabel.special_label(k, m)
-    orders = [order(X, x) for x in range(n)]
-    if any(o not in (1, 2, 4) for o in orders):
+    orders = _orders(X)
+    if ((orders == 3) | (orders > 4)).any():
         # X = A/+-: the orbit of a has order ord(a) and 1 or 2 elements
-        sizes = [1 if o <= 2 else 2 for o in orders]
-        chain = _chain_from_counts(
-            sum(sizes), lambda k: sum(s for o, s in zip(orders, sizes) if k % o == 0)
-        )
+        sizes = 1 + (orders > 2)
+        chain = _chain_from_counts(int(sizes.sum()), lambda k: int(sizes[k % orders == 0].sum()))
         if ClassLabel.principal_label(chain).size() != n:
             raise ValueError(f"order counts give {chain}, not a group of size {n}")
         return ClassLabel.principal_label(chain)

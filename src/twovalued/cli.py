@@ -495,6 +495,8 @@ def cli_main(argv=None) -> int:
     p.set_defaults(fn=_cmd_elliptic)
 
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.max_violations < 0:
+        parser.error("argument --max-violations: must be >= 0")
     try:
         code = args.fn(args)
         sys.stdout.flush()

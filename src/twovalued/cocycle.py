@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import TwoValuedGroup, order, power
-from .structure import UNDEFINED, _f2_pivots, boolean_subgroup, is_special, squares_subgroup, v_dot
+import numpy as np
+
+from .core import TwoValuedGroup, _orders, _powers
+from .structure import _f2_pivots, boolean_subgroup, is_special, squares_subgroup
 
 __all__ = [
     "QuasiCocycle",
@@ -211,12 +213,10 @@ def extract_quasicocycle(X: TwoValuedGroup) -> ExtractionData:
     span(u, v).  Raises PreconditionViolated when the structural assumptions
     fail.
     """
-    n = len(X)
-    for x in range(n):
-        if order(X, x) not in (1, 2, 4):
-            raise PreconditionViolated(
-                f"element {X.names[x]} has order {order(X, x)}"
-            )
+    orders = _orders(X)
+    odd = np.flatnonzero((orders == 3) | (orders > 4))
+    if len(odd):
+        raise PreconditionViolated(f"element {X.names[odd[0]]} has order {orders[odd[0]]}")
     special, pairs = is_special(X)
     if special:
         raise PreconditionViolated(f"special pairs present: {pairs[:3]}")
@@ -229,40 +229,45 @@ def extract_quasicocycle(X: TwoValuedGroup) -> ExtractionData:
                 "(single-valued factor present)"
             )
     dim = V.dim
-    # greedy basis by element index; coords filled by closing under dot
-    coords = {X.identity: 0}
+    members = np.array(V.members)
+    dot = np.array(V.table)
+    # greedy basis by member position; coordinates filled by closing under
+    # the dot product
+    vec = np.full(len(members), -1)
+    vec[0] = 0
     nbasis = 0
-    for m in V.members:
-        if m in coords:
+    for p in range(len(members)):
+        if vec[p] >= 0:
             continue
-        bit = 1 << (dim - 1 - nbasis)
+        have = np.flatnonzero(vec >= 0)
+        vec[dot[p, have]] = vec[have] ^ (1 << (dim - 1 - nbasis))
         nbasis += 1
-        for el, vec in list(coords.items()):
-            coords[V.dot(m, el)] = vec ^ bit
-    if nbasis != dim or len(coords) != len(V.members):
+    if nbasis != dim or (vec < 0).any():
         raise PreconditionViolated("order-2 elements do not span as expected")
+    coords = dict(zip(V.members, vec.tolist()))
 
-    orbits: dict[int, list[int]] = {}
-    for x in range(n):
-        orbits.setdefault(coords[power(X, x, 2)], []).append(x)
-    if len(orbits) != 1 << dim:
-        raise PreconditionViolated("some square class is empty")
-    reps = {vec: min(orb) for vec, orb in orbits.items()}
+    # the orbit X_v = {x : x^2 = v}, represented by its smallest element
+    vec_of = np.full(len(X), -1)
+    vec_of[members] = vec
+    found, reps = np.unique(vec_of[_powers(X, 2)], return_index=True)
+    if found[0] < 0 or len(found) != 1 << dim:
+        raise PreconditionViolated("the squares do not fill the 2^dim square classes")
 
-    members_by_vec = {vec: el for el, vec in coords.items()}
-
-    def phi_fn(u: int, v: int) -> int:
-        x, y = reps[u], reps[v]
-        z1 = X.table[x][y].lo
-        target = reps[u ^ v]
-        for c_el, c_vec in coords.items():
-            if v_dot(X, c_el, target) == z1:
-                return c_vec
+    # phi(u, v) = c for the member c with c . x_(u+v) = z1, x_u * x_v = [z1, z2]
+    u, v = np.indices((1 << dim, 1 << dim))
+    z1 = X.lo[reps[u], reps[v]]
+    target = reps[u ^ v]
+    c = members[:, None, None]
+    hits = (X.lo[c, target] == z1) & (X.hi[c, target] == z1)
+    lost = target[~hits.any(axis=0)]
+    if len(lost):
         raise PreconditionViolated(
-            f"V does not act transitively on the orbit of {X.names[target]}"
+            f"V does not act transitively on the orbit of {X.names[lost[0]]}"
         )
+    phi_values = vec[np.argmax(hits, axis=0)].tolist()
+    reps = dict(enumerate(reps.tolist()))
 
-    phi = QuasiCocycle.from_function(dim, phi_fn)
+    phi = QuasiCocycle.from_function(dim, lambda u, v: phi_values[u][v])
     return ExtractionData(
         group=X, dim=dim, coords=coords, representatives=reps, phi=phi
     )

@@ -253,12 +253,9 @@ def special_series(n: int) -> TwoValuedGroup:
         raise ValueError("rank must be >= 1")
     nv = 2 ** n
     s = nv  # index of the extra element
-    names = ["e"]
-    names += ["".join(map(str, _bits(v, n))) for v in range(1, nv)]
-    names.append("s")
     size = nv + 1
-    dt = index_dtype(size)
-    lo = np.empty((size, size), dtype=dt)
+    # the table first: a size that does not fit fails here, before the names
+    lo = np.empty((size, size), dtype=index_dtype(size))
     # V x V: x*y = [x+y, x+y], the xor of the masks (e doubles, x*x = [e, .])
     lo[:nv, :nv] = np.bitwise_xor.outer(np.arange(nv), np.arange(nv))
     # row and column of s: s*e = [s, s], s*x = [x, x], s*s = [e, e]
@@ -268,6 +265,7 @@ def special_series(n: int) -> TwoValuedGroup:
     hi = lo.copy()
     x = np.arange(1, nv)
     hi[x, x] = s  # x*x = [e, s]
+    names = ["e", *("".join(map(str, _bits(v, n))) for v in range(1, nv)), "s"]
     return TwoValuedGroup.from_arrays(names, lo, hi)
 
 
@@ -288,16 +286,13 @@ def product_with_boolean(X: TwoValuedGroup, m: int) -> TwoValuedGroup:
         return X
     n = len(X)
     nw = 2 ** m
-    names = tuple(
-        f"{X.names[x]}|{''.join(map(str, _bits(w, m)))}"
-        for w in range(nw)
-        for x in range(n)
-    )
+    # the tables first: a size that does not fit fails here, before the names
     dt = index_dtype(n * nw)
     shift = np.bitwise_xor.outer(np.arange(nw), np.arange(nw)).astype(dt) * dt.type(n)
     shift = shift[:, None, :, None]  # (w1, ., w2, .) -> (w1 ^ w2) * n
     lo = (shift + X.lo.astype(dt)[:, None, :]).reshape(n * nw, n * nw)
     hi = (shift + X.hi.astype(dt)[:, None, :]).reshape(n * nw, n * nw)
+    names = [f"{X.names[x]}|{''.join(map(str, _bits(w, m)))}" for w in range(nw) for x in range(n)]
     return TwoValuedGroup.from_arrays(names, lo, hi)
 
 

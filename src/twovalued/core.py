@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -154,7 +154,7 @@ class TwoValuedGroup:
         lo, hi = (a.astype(index_dtype(n), copy=False) for a in (lo, hi))
         lo.setflags(write=False)
         hi.setflags(write=False)
-        vars(self).update(names=names, lo=lo, hi=hi, _pow_cache={})
+        vars(self).update(names=names, lo=lo, hi=hi)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -168,6 +168,57 @@ class TwoValuedGroup:
             tuple(map(pair, zip(lr.tolist(), hr.tolist())))
             for lr, hr in zip(self.lo, self.hi)
         )
+
+    @cached_property
+    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
+        """(seq, reach, orders, faults) from the recurrence x * x^k =
+        [x^(k-1), x^(k+1)] stepped for all x at once: seq[k, x] = x^k for
+        k <= reach[x], and x^k = x^(orders[x] - k) beyond.  A walk stops at
+        x^(k+1) = e or where it turns: after x^(k+1) = x^(k-1) or x^k the
+        recurrence retraces its steps to e, so the order is 2k or 2k+1.
+        faults maps each x whose recurrence branches before that to the
+        reason: x*x^k and x^k*x differ, x^(k-1) is missing from x*x^k, or
+        there is no return to e within 2n+2 steps."""
+        n = len(self)
+        lo, hi = self.lo.ravel(), self.hi.ravel()
+        every = np.arange(n)
+        rows = every * n
+        seq = [np.zeros(n, lo.dtype), every.astype(lo.dtype)]
+        done = every == 0
+        for _ in range(2 * n + 1):
+            prev, cur = seq[-2], seq[-1]
+            at = rows + cur
+            l = lo[at]
+            seq.append(np.where(l == prev, hi[at], l))
+            done |= (seq[-1] == prev) | (seq[-1] == cur)
+            if done.all():
+                break
+        seq = np.array(seq)
+        # row k - 1 of these is step k, from x^(k-1) and x^k to x^(k+1)
+        prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
+        at = rows + cur
+        l, h = lo[at], hi[at]
+        stop = (nxt == 0) | (nxt == prev) | (nxt == cur)
+        stop[:, 0] = True
+        last = stop.argmax(axis=0)
+        stopped = stop[last, every]
+        last[~stopped] = len(stop) - 1
+        k, end = last + 1, nxt[last, every]
+        orders = np.where(end == 0, k + 1, 2 * k + (end != prev[last, every]))
+        orders[0] = 1
+        asym = ((self.lo != self.lo.T) | (self.hi != self.hi.T)).ravel()[at]
+        branch = (asym | ((l != prev) & (h != prev))) & (np.arange(len(stop))[:, None] <= last)
+        branch[:, 0] = False
+        first = branch.argmax(axis=0)
+        faults: dict[int, str] = {}
+        for x in branch.any(axis=0).nonzero()[0].tolist():
+            why = ("x*x^k and x^k*x differ" if asym[first[x], x]
+                   else "x^(k-1) missing from x*x^k")
+            faults[x] = f"{why} for x={x}, k={first[x] + 1}"
+        stopped &= orders <= 2 * n + 2
+        for x in (~stopped).nonzero()[0].tolist():
+            faults.setdefault(x, f"power sequence of x={x} never returns to e")
+        return seq, k + 1, orders, faults
 
     def __eq__(self, other):
         if not isinstance(other, TwoValuedGroup):
@@ -209,7 +260,7 @@ class TwoValuedGroup:
 
 def product(X: TwoValuedGroup, x: int, y: int) -> Pair:
     """The unordered pair x*y."""
-    return X.table[x][y]
+    return Pair(int(X.lo[x, y]), int(X.hi[x, y]))
 
 
 def product_fold(X: TwoValuedGroup, m: Iterable[int], b: int) -> tuple[int, ...]:
@@ -218,12 +269,8 @@ def product_fold(X: TwoValuedGroup, m: Iterable[int], b: int) -> tuple[int, ...]
     A multiset of size 2^k folds to one of size 2^(k+1); the result is a
     sorted tuple of indices (our multiset normal form).
     """
-    out: list[int] = []
-    for x in m:
-        p = X.table[x][b]
-        out.append(p.lo)
-        out.append(p.hi)
-    return tuple(sorted(out))
+    m = np.fromiter(m, dtype=np.intp)
+    return tuple(sorted(X.lo[m, b].tolist() + X.hi[m, b].tolist()))
 
 
 def index_dtype(n: int) -> np.dtype:
@@ -392,60 +439,57 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     )
 
 
-def _power_sequence(X: TwoValuedGroup, x: int) -> list[int]:
-    """The sequence e = x^0, x^1, x^2, ... up to (and including) the first
-    return to e, computed by the forward recurrence
-    x * x^k = [x^(k-1), x^(k+1)].
+def _element(X: TwoValuedGroup, x) -> int:
+    """x as an element index of X; ValueError outside 0..n-1."""
+    i = index(x)
+    if not 0 <= i < len(X):
+        raise ValueError(f"element index {x} out of range 0..{len(X) - 1}")
+    return i
 
-    Raises AmbiguousPower when the recurrence branches, which happens exactly
-    when the defining multiset does not contain the previous term.
-    """
-    if x in X._pow_cache:
-        return X._pow_cache[x]
-    e = X.identity
-    seq = [e, x]
-    if x == e:
-        seq = [e]
-        X._pow_cache[x] = seq
-        return seq
-    # defensive cap: a valid sequence returns to e within 2n steps
-    cap = 2 * len(X) + 2
-    t = X.table
-    while len(seq) <= cap:
-        prev, cur = seq[-2], seq[-1]
-        p = t[x][cur]
-        q = t[cur][x]
-        if p != q:
-            raise AmbiguousPower(
-                f"x*x^k and x^k*x differ for x={x}, k={len(seq) - 1}"
-            )
-        if prev not in p:
-            raise AmbiguousPower(
-                f"x^(k-1) missing from x*x^k for x={x}, k={len(seq) - 1}"
-            )
-        nxt = p.other(prev)
-        seq.append(nxt)
-        if nxt == e:
-            break
-    else:
-        raise AmbiguousPower(f"power sequence of x={x} never returns to e")
-    X._pow_cache[x] = seq
-    return seq
+
+def _orders(X: TwoValuedGroup) -> np.ndarray:
+    """Every element's order; AmbiguousPower for the first that branches."""
+    faults = X._walk[3]
+    if faults:
+        raise AmbiguousPower(faults[min(faults)])
+    return X._walk[2]
+
+
+def _powers(X: TwoValuedGroup, k: int) -> np.ndarray:
+    """x^k for every element x, as an index array."""
+    seq, reach, orders, _ = X._walk
+    j = abs(k) % _orders(X)
+    return seq[np.where(j <= reach, j, orders - j), np.arange(len(X))]
 
 
 def power(X: TwoValuedGroup, x: int, k: int) -> int:
     """x^k, defined through the unique power sequence.
 
     Powers satisfy x^(-k) = x^k and are periodic with period ord(x), so any
-    integer exponent is accepted.
+    integer exponent is accepted.  AmbiguousPower when the sequence of x
+    branches; ValueError when x is not an element index.
+
+    >>> from twovalued.constructions import principal
+    >>> X = principal(5)  # the classes of 0, 1, 2 in C5
+    >>> [power(X, 1, k) for k in range(6)]
+    [0, 1, 2, 2, 1, 0]
     """
-    seq = _power_sequence(X, x)
-    m = len(seq) - 1  # seq[m] == e, the order of x
-    if m == 0:
-        return X.identity
-    return seq[abs(k) % m]
+    m = order(X, x)
+    seq, reach = X._walk[:2]
+    j = abs(k) % m
+    return int(seq[j if j <= reach[x] else m - j, x])
 
 
 def order(X: TwoValuedGroup, x: int) -> int:
-    """Least k >= 1 with x^k = e."""
-    return max(1, len(_power_sequence(X, x)) - 1)
+    """Least k >= 1 with x^k = e.
+
+    >>> from twovalued.constructions import principal
+    >>> X = principal(6)
+    >>> [order(X, x) for x in range(len(X))]
+    [1, 6, 3, 2]
+    """
+    x = _element(X, x)
+    _, _, orders, faults = X._walk
+    if x in faults:
+        raise AmbiguousPower(faults[x])
+    return int(orders[x])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AmbiguousPower, TwoValuedGroup, order, power
+from .core import TwoValuedGroup, _element, _orders, _powers, index_dtype, order, product
 
 __all__ = [
     "UNDEFINED",
@@ -73,8 +73,26 @@ UNDEFINED = _Undefined()
 def v_dot(X: TwoValuedGroup, v: int, x: int):
     """The single-valued partial product: v . x = z when v*x = [z, z],
     UNDEFINED otherwise.  Total in v whenever v has order <= 2."""
-    p = X.table[v][x]
-    return p.lo if p.lo == p.hi else UNDEFINED
+    v, x = _element(X, v), _element(X, x)
+    z = int(X.lo[v, x])
+    return z if z == X.hi[v, x] else UNDEFINED
+
+
+def _escape(X: TwoValuedGroup, members, doubled: bool = False) -> tuple[int, int] | None:
+    """The first (a, b) of members x members, in row-major order, whose
+    product leaves members or, with doubled, is not a doubled pair; None if
+    there is none."""
+    m = np.array(sorted(members), dtype=np.intp)
+    inside = np.zeros(len(X), dtype=bool)
+    inside[m] = True
+    lo, hi = X.lo[m[:, None], m], X.hi[m[:, None], m]
+    bad = ~(inside[lo] & inside[hi])
+    if doubled:
+        bad |= lo != hi
+    if not bad.any():
+        return None
+    i, j = np.argwhere(bad)[0]
+    return int(m[i]), int(m[j])
 
 
 @dataclass(frozen=True)
@@ -101,78 +119,65 @@ def boolean_subgroup(X: TwoValuedGroup) -> BooleanSubgroup:
     abelian 2-group under the dot product.  Raises ClosureViolation if the
     dot lands outside the set (impossible for a valid involutive commutative
     group)."""
-    members = [X.identity]
-    for x in range(len(X)):
-        if x != X.identity and order(X, x) == 2:
-            members.append(x)
-    members.sort()
+    members = np.flatnonzero(_orders(X) <= 2)
     k = len(members)
     if k & (k - 1):
         raise ClosureViolation(f"|V| = {k} is not a power of two")
-    pos = {el: i for i, el in enumerate(members)}
-    table = []
-    for a in members:
-        row = []
-        for b in members:
-            z = v_dot(X, a, b)
-            if z is UNDEFINED or z not in pos:
-                raise ClosureViolation(f"dot product {a}.{b} leaves V")
-            row.append(pos[z])
-        table.append(tuple(row))
-    return BooleanSubgroup(members=tuple(members), dim=k.bit_length() - 1, table=tuple(table))
+    if leak := _escape(X, members, doubled=True):
+        raise ClosureViolation(f"dot product {leak[0]}.{leak[1]} leaves V")
+    table = np.searchsorted(members, X.lo[np.ix_(members, members)]).tolist()
+    return BooleanSubgroup(tuple(members.tolist()), k.bit_length() - 1, tuple(map(tuple, table)))
 
 
 def is_special(X: TwoValuedGroup) -> tuple[bool, list[tuple[int, int]]]:
     """A special pair is x, y of order > 2 whose product is a doubled pair.
-    Returns the verdict and every witness pair (x <= y, sorted)."""
-    n = len(X)
-    big = [x for x in range(n) if order(X, x) > 2]
-    t = X.table
-    witnesses = []
-    for i, x in enumerate(big):
-        for y in big[i:]:
-            if t[x][y].is_doubled:
-                witnesses.append((x, y))
+    Returns the verdict and every witness pair (x <= y, sorted).
+
+    >>> from twovalued.constructions import special_series
+    >>> is_special(special_series(2))  # 01*10 = [11, 11], and so on
+    (True, [(1, 2), (1, 3), (2, 3)])
+    """
+    big = np.flatnonzero(_orders(X) > 2)
+    x, y = (X.lo[big[:, None], big] == X.hi[big[:, None], big]).nonzero()
+    upper = x <= y
+    witnesses = list(zip(big[x[upper]].tolist(), big[y[upper]].tolist()))
     return (bool(witnesses), witnesses)
 
 
 def squares_subgroup(X: TwoValuedGroup) -> frozenset[int]:
     """Q = {x^2 : x in X}.  Verified closed; ClosureViolation otherwise."""
-    Q = frozenset(power(X, x, 2) for x in range(len(X)))
-    for a in Q:
-        for b in Q:
-            p = X.table[a][b]
-            if p.lo not in Q or p.hi not in Q:
-                raise ClosureViolation(
-                    f"squares not closed: {a}*{b} = {p} leaves the set"
-                )
+    Q = frozenset(_powers(X, 2).tolist())
+    if leak := _escape(X, Q):
+        raise ClosureViolation(
+            f"squares not closed: {leak[0]}*{leak[1]} = {product(X, *leak)} leaves the set"
+        )
     return Q
 
 
 def subgroup_closure(X: TwoValuedGroup, seed) -> frozenset[int]:
     """Smallest subset containing the seed and the identity that is closed
     under taking both elements of every pairwise product."""
-    closed = {X.identity} | set(seed)
-    frontier = list(closed)
-    while frontier:
-        a = frontier.pop()
-        for b in list(closed):
-            for p in (X.table[a][b], X.table[b][a]):
-                for z in (p.lo, p.hi):
-                    if z not in closed:
-                        closed.add(z)
-                        frontier.append(z)
-    return frozenset(closed)
+    closed = np.zeros(len(X), dtype=bool)
+    closed[[X.identity, *(_element(X, x) for x in seed)]] = True
+    while True:
+        m = np.flatnonzero(closed)
+        closed[X.lo[m[:, None], m]] = True
+        closed[X.hi[m[:, None], m]] = True
+        if np.count_nonzero(closed) == len(m):
+            return frozenset(m.tolist())
+
+
+def _is_subgroup(X: TwoValuedGroup, members: frozenset[int]) -> bool:
+    return X.identity in members and not _escape(X, members)
 
 
 def _check_subgroup(X: TwoValuedGroup, members: frozenset[int]):
+    for a in members:
+        _element(X, a)
     if X.identity not in members:
         raise NotSubgroup("subgroup must contain the identity")
-    for a in members:
-        for b in members:
-            p = X.table[a][b]
-            if p.lo not in members or p.hi not in members:
-                raise NotSubgroup(f"{a}*{b} = {p} leaves the subset")
+    if leak := _escape(X, members):
+        raise NotSubgroup(f"{leak[0]}*{leak[1]} = {product(X, *leak)} leaves the subset")
 
 
 def quotient(
@@ -227,66 +232,46 @@ class HomomorphismReport:
         return self.is_homomorphism
 
 
+def _mismatches(X: TwoValuedGroup, Z: TwoValuedGroup, f: np.ndarray) -> np.ndarray:
+    """The cells (x, y) where the multiset f(x*y) differs from f(x)*f(y),
+    for an index array f from X to Z, as an n x n mask."""
+    a, b = f[X.lo], f[X.hi]
+    image = np.ix_(f, f)
+    return (np.minimum(a, b) != Z.lo[image]) | (np.maximum(a, b) != Z.hi[image])
+
+
 def is_homomorphism(X: TwoValuedGroup, Z: TwoValuedGroup, f) -> HomomorphismReport:
     """Check that f (a list of Z-indices, one per X-element) satisfies
     f(x*y) = f(x)*f(y) as multisets, and if so verify the homomorphism
     theorem: the kernel and image are subgroups and X/ker is isomorphic to
     the image via the map induced by f."""
-    n = len(X)
-    fv = list(f)
-    if len(fv) != n or any(not (0 <= v < len(Z)) for v in fv):
+    fa = np.array(list(f))
+    valid = fa.shape == (len(X),) and fa.dtype.kind in "iu"
+    if not (valid and ((fa >= 0) & (fa < len(Z))).all()):
         raise ValueError("f must map every X element to a Z element")
-    mismatches = []
-    for x in range(n):
-        for y in range(n):
-            p = X.table[x][y]
-            img = tuple(sorted((fv[p.lo], fv[p.hi])))
-            if img != Z.table[fv[x]][fv[y]].as_multiset():
-                mismatches.append((x, y))
-    if mismatches:
-        return HomomorphismReport(False, mismatches)
-    if fv[X.identity] != Z.identity:
+    fa = fa.astype(index_dtype(len(Z)))
+    bad = _mismatches(X, Z, fa)
+    if bad.any():
+        return HomomorphismReport(False, list(map(tuple, np.argwhere(bad).tolist())))
+    if fa[X.identity] != Z.identity:
         return HomomorphismReport(False, [(X.identity, X.identity)])
 
-    report = HomomorphismReport(True, [])
-    kernel = frozenset(x for x in range(n) if fv[x] == Z.identity)
-    image = frozenset(fv)
-    report.kernel = kernel
-    report.image = image
-    try:
-        _check_subgroup(X, kernel)
-        report.kernel_is_subgroup = True
-    except NotSubgroup:
-        report.kernel_is_subgroup = False
-    try:
-        _check_subgroup(Z, image)
-        report.image_is_subgroup = True
-    except NotSubgroup:
-        report.image_is_subgroup = False
+    kernel = frozenset(np.flatnonzero(fa == Z.identity).tolist())
+    image = frozenset(fa.tolist())
+    report = HomomorphismReport(
+        True, [], kernel, image, _is_subgroup(X, kernel), _is_subgroup(Z, image)
+    )
     if report.kernel_is_subgroup:
         Q, proj = quotient(X, kernel)
-        # classes must map bijectively onto the image, transporting the table
-        cls_img = {}
-        ok = True
-        for x in range(n):
-            c = proj[x]
-            if c in cls_img and cls_img[c] != fv[x]:
-                ok = False
-                break
-            cls_img[c] = fv[x]
-        if ok:
-            ok = len(set(cls_img.values())) == len(Q) == len(image)
-        if ok:
-            for i in range(len(Q)):
-                for j in range(len(Q)):
-                    p = Q.table[i][j]
-                    lhs = tuple(sorted((cls_img[p.lo], cls_img[p.hi])))
-                    if lhs != Z.table[cls_img[i]][cls_img[j]].as_multiset():
-                        ok = False
-                        break
-                if not ok:
-                    break
-        report.quotient_matches_image = ok
+        # f must be constant on each class and the induced map a bijection
+        # onto the image that transports the table
+        cls_img = np.zeros_like(fa, shape=len(Q))
+        cls_img[proj] = fa
+        report.quotient_matches_image = bool(
+            np.array_equal(cls_img[proj], fa)
+            and len(set(cls_img.tolist())) == len(Q) == len(image)
+            and not _mismatches(Q, Z, cls_img).any()
+        )
     return report
 
 
@@ -306,29 +291,6 @@ def _f2_pivots(rows, mask: int = -1) -> dict[int, int] | None:
             if row:
                 return None
     return pivots
-
-
-def _solve_f2(rows, nvars: int):
-    """Solve a linear system over F2.  Each row is an int whose low nvars
-    bits are coefficients and whose bit nvars is the right-hand side.
-    Returns a solution bitmask with free variables set to 0, or None if
-    inconsistent."""
-    mask = (1 << nvars) - 1
-    rhs_bit = 1 << nvars
-    pivots = _f2_pivots(rows, mask)
-    if pivots is None:
-        return None  # coefficients eliminated but rhs = 1
-    # each pivot row's leading coefficient bit is its highest, so its
-    # equation expresses the pivot variable through strictly lower columns:
-    # solve low to high
-    sol = 0
-    for col in sorted(pivots):
-        row = pivots[col]
-        acc = 1 if (row & rhs_bit) else 0
-        acc ^= ((row & mask & ~(1 << col)) & sol).bit_count() & 1
-        if acc:
-            sol |= 1 << col
-    return sol
 
 
 def _sign_rows(X: TwoValuedGroup) -> list[int]:
@@ -362,34 +324,28 @@ def split_direct_factor(X: TwoValuedGroup) -> tuple[TwoValuedGroup, int, list[st
 
     A C2 factor exists iff some order-2 element w is not a square; the
     obstruction is phrased as an F2-linear system for a sign homomorphism f
-    with f(w) = -1 (equations f(x)f(y)f(z) = 1 for every z in x*y).  We
-    solve the system to certify the split, then pass to the quotient by
-    {e, w}.  Returns (X', m, witness names), where X' has no single-valued
-    direct factor and X is isomorphic to X' x C2^m.
+    with f(w) = -1 (equations f(x)f(y)f(z) = 1 for every z in x*y).  The
+    split is certified when elimination finds the system consistent; then
+    we pass to the quotient by {e, w}.  Returns (X', m, witness names),
+    where X' has no single-valued direct factor and X is isomorphic to
+    X' x C2^m.
     """
     cur = X
-    m = 0
     witnesses: list[str] = []
     while True:
         n = len(cur)
-        sq = {power(cur, x, 2) for x in range(n)}
-        w = None
-        for x in range(n):
-            if x != cur.identity and order(cur, x) == 2 and x not in sq:
-                w = x
-                break
-        if w is None:
-            return cur, m, witnesses
+        # the order-2 elements that are not squares
+        lone = _orders(cur) == 2
+        lone[_powers(cur, 2)] = False
+        if not lone.any():
+            return cur, len(witnesses), witnesses
+        w = int(np.argmax(lone))
         rows = _sign_rows(cur)
-        rows.append((1 << w) | (1 << n))  # f(w) = -1
-        sol = _solve_f2(rows, n)
-        if sol is None:
-            raise InconsistentSystem(
-                f"no sign homomorphism separates element {cur.names[w]}"
-            )
+        rows.append((1 << w) | (1 << n))  # f(w) = -1, bit n the right-hand side
+        if _f2_pivots(rows, (1 << n) - 1) is None:
+            raise InconsistentSystem(f"no sign homomorphism separates element {cur.names[w]}")
         witnesses.append(cur.names[w])
         cur, _ = quotient(cur, frozenset({cur.identity, w}))
-        m += 1
 
 
 @dataclass(frozen=True)
@@ -407,22 +363,15 @@ def branching_set(Xhat: TwoValuedGroup, u: int) -> BranchingData:
     if u == Xhat.identity or order(Xhat, u) != 2:
         raise NotOrderTwo(f"element {u} does not have order 2")
     Q, proj = quotient(Xhat, frozenset({Xhat.identity, u}))
-    nhat = len(Xhat)
-    pre: dict[int, list[int]] = {}
-    for x in range(nhat):
-        pre.setdefault(proj[x], []).append(x)
-    R = set()
-    for c in range(len(Q)):
-        if order(Q, c) == 2 and len(pre[c]) == 1 and order(Xhat, pre[c][0]) == 4:
-            R.add(c)
-    V = {c for c in range(len(Q)) if order(Q, c) <= 2}
-    keep = V - R
-    for a in keep:
-        for b in keep:
-            z = v_dot(Q, a, b)
-            if z is UNDEFINED or z not in keep:
-                raise ValueError(
-                    "complement of the branching set is not closed; "
-                    "input is not a valid involutive commutative group"
-                )
-    return BranchingData(quotient=Q, projection=tuple(proj), R=frozenset(R))
+    cls = np.array(proj)
+    q_orders = _orders(Q)
+    # x is the single preimage of its class, has order 4 and lands on order 2
+    single = np.bincount(cls, minlength=len(Q))[cls] == 1
+    branch = cls[single & (_orders(Xhat) == 4) & (q_orders[cls] == 2)]
+    keep = np.setdiff1d(np.flatnonzero(q_orders <= 2), branch)
+    if _escape(Q, keep, doubled=True):
+        raise ValueError(
+            "complement of the branching set is not closed; "
+            "input is not a valid involutive commutative group"
+        )
+    return BranchingData(quotient=Q, projection=tuple(proj), R=frozenset(branch.tolist()))

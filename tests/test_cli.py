@@ -171,6 +171,14 @@ class TestConstructVerifyClassify:
         assert out.count("violation: associativity") == 5
         assert out.splitlines()[-1] == f"... and {bad - 5} more violations"
 
+    def test_verify_rejects_negative_max_violations(self, tmp_path, capsys):
+        path = str(tmp_path / "g.json")
+        write_group(principal(6), path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify", path, "--max-violations", "-3"])
+        assert exc.value.code == 2
+        assert "--max-violations" in capsys.readouterr().err
+
     def test_classify_prints_label(self, tmp_path, capsys):
         path = str(tmp_path / "g.json")
         write_group(unipotent(2), path)
@@ -340,12 +348,32 @@ def test_oversized_construct_fails_with_exit_two():
     assert "Traceback" not in proc.stderr
 
 
-def _cli_child(*argv, **kwargs):
+@pytest.mark.parametrize(
+    "argv",
+    [["--special", "40"], ["--principal", "2", "-m", "40"]],
+    ids=["special40", "principal2_m40"],
+)
+def test_huge_construct_fails_fast(argv):
+    # the table is allocated before the 2^40 element names are built, so
+    # numpy refuses at once; the child caps its own address space at 2 GiB,
+    # and the timeout makes a hang fail the test instead of stalling it
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = _cli_child("construct", *argv, stdout=subprocess.DEVNULL, preexec_fn=cap, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def _cli_child(*argv, timeout=300, **kwargs):
     src = os.path.dirname(os.path.dirname(twovalued.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
         [sys.executable, "-m", "twovalued.cli", *argv],
-        env=env, stderr=subprocess.PIPE, text=True, timeout=300, **kwargs,
+        env=env, stderr=subprocess.PIPE, text=True, timeout=timeout, **kwargs,
     )
 
 

@@ -268,3 +268,23 @@ def test_sign_rows_match_per_cell_loop(X):
     from twovalued.structure import _sign_rows
 
     assert _sign_rows(X) == _loop_sign_rows(X)
+
+
+@pytest.mark.parametrize("i", [-1, 7], ids=["minus_one", "n"])
+def test_out_of_range_element_index_is_value_error(i):
+    from twovalued.classify import reconstruct_abelian
+    from twovalued.core import power
+
+    X = principal(12)
+    assert len(X) == 7
+    calls = [
+        lambda: power(X, i, 2),
+        lambda: order(X, i),
+        lambda: v_dot(X, i, 0),
+        lambda: v_dot(X, 0, i),
+        lambda: branching_set(X, i),
+        lambda: reconstruct_abelian(X, i),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="out of range"):
+            call()

@@ -1,0 +1,407 @@
+"""The array structure, cocycle and certificate layers against Pair-cell
+references.
+
+The references are the routines as they were written before these layers
+read the lo/hi arrays: the per-element power walk on the Pair view, the
+double loop of is_special, the mul-closure reconstruction of A from
+X = A/+-, and the per-cell loop of is_homomorphism, together with the loop
+versions of the Boolean part, the squares, the C2 split and the cocycle
+extraction built on them.  Every acceptance-sweep label is checked with
+one seeded relabelling.  The mul closure checks every product of a
+reconstructed table of at most CHECKED_PRODUCTS cells and that many seeded
+products of a larger one; the chain is recomputed from the whole table.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from test_acceptance import build, sweep_labels
+from twovalued.classify import (
+    NonUniquePair,
+    _chain_from_counts,
+    classify,
+    reconstruct_abelian,
+)
+from twovalued.cocycle import (
+    ExtractionData,
+    PreconditionViolated,
+    QuasiCocycle,
+    extract_quasicocycle,
+)
+from twovalued.constructions import FinAbelianGroup, double, principal, product_with_boolean
+from twovalued.core import AmbiguousPower, Pair, TwoValuedGroup, order, power, product
+from twovalued.structure import (
+    BooleanSubgroup,
+    HomomorphismReport,
+    boolean_subgroup,
+    branching_set,
+    is_homomorphism,
+    is_special,
+    quotient,
+    split_direct_factor,
+    squares_subgroup,
+)
+
+
+CHECKED_PRODUCTS = 1024
+
+
+# --- references --------------------------------------------------------------
+
+def reference_power_sequence(X: TwoValuedGroup, x: int) -> list[int]:
+    """e = x^0, x^1, ... up to the first return to e, one Pair cell at a
+    time; AmbiguousPower when the recurrence branches."""
+    e = X.identity
+    if x == e:
+        return [e]
+    seq = [e, x]
+    cap = 2 * len(X) + 2
+    t = X.table
+    while len(seq) <= cap:
+        prev, cur = seq[-2], seq[-1]
+        p = t[x][cur]
+        if p != t[cur][x]:
+            raise AmbiguousPower(f"x*x^k and x^k*x differ for x={x}, k={len(seq) - 1}")
+        if prev not in p:
+            raise AmbiguousPower(f"x^(k-1) missing from x*x^k for x={x}, k={len(seq) - 1}")
+        seq.append(p.other(prev))
+        if seq[-1] == e:
+            return seq
+    raise AmbiguousPower(f"power sequence of x={x} never returns to e")
+
+
+def reference_walk(X: TwoValuedGroup) -> list[list[int]]:
+    return [reference_power_sequence(X, x) for x in range(len(X))]
+
+
+def orders_of(walk) -> list[int]:
+    return [max(1, len(seq) - 1) for seq in walk]
+
+
+def square_of(seq) -> int:
+    m = len(seq) - 1
+    return seq[2 % m] if m else seq[0]
+
+
+def reference_is_special(X: TwoValuedGroup, orders) -> tuple[bool, list]:
+    big = [x for x in range(len(X)) if orders[x] > 2]
+    t = X.table
+    witnesses = []
+    for i, x in enumerate(big):
+        for y in big[i:]:
+            if t[x][y].is_doubled:
+                witnesses.append((x, y))
+    return (bool(witnesses), witnesses)
+
+
+def reference_boolean_subgroup(X: TwoValuedGroup, orders) -> BooleanSubgroup:
+    members = [x for x in range(len(X)) if orders[x] <= 2]
+    pos = {el: i for i, el in enumerate(members)}
+    t = X.table
+    table = tuple(
+        tuple(pos[t[a][b].lo] if t[a][b].is_doubled else None for b in members)
+        for a in members
+    )
+    return BooleanSubgroup(tuple(members), len(members).bit_length() - 1, table)
+
+
+def reference_split(X: TwoValuedGroup):
+    cur, m, witnesses = X, 0, []
+    while True:
+        walk = reference_walk(cur)
+        orders = orders_of(walk)
+        squares = {square_of(seq) for seq in walk}
+        lone = [x for x in range(len(cur)) if orders[x] == 2 and x not in squares]
+        if not lone:
+            return cur, m, witnesses
+        witnesses.append(cur.names[lone[0]])
+        cur, _ = quotient(cur, frozenset({cur.identity, lone[0]}))
+        m += 1
+
+
+def reference_extract(X: TwoValuedGroup) -> ExtractionData:
+    walk = reference_walk(X)
+    orders = orders_of(walk)
+    for x in range(len(X)):
+        if orders[x] not in (1, 2, 4):
+            raise PreconditionViolated(f"element {X.names[x]} has order {orders[x]}")
+    if reference_is_special(X, orders)[0]:
+        raise PreconditionViolated("special pairs present")
+    V = reference_boolean_subgroup(X, orders)
+    squares = {square_of(seq) for seq in walk}
+    if not set(V.members) <= squares:
+        raise PreconditionViolated("single-valued factor present")
+    coords = {X.identity: 0}
+    nbasis = 0
+    for m in V.members:
+        if m in coords:
+            continue
+        bit = 1 << (V.dim - 1 - nbasis)
+        nbasis += 1
+        for el, vec in list(coords.items()):
+            coords[V.dot(m, el)] = vec ^ bit
+    orbits: dict[int, list[int]] = {}
+    for x in range(len(X)):
+        orbits.setdefault(coords[square_of(walk[x])], []).append(x)
+    reps = {vec: min(orb) for vec, orb in orbits.items()}
+    t = X.table
+
+    def phi_fn(u, v):
+        z1 = t[reps[u]][reps[v]].lo
+        target = reps[u ^ v]
+        for c_el, c_vec in coords.items():
+            p = t[c_el][target]
+            if p.is_doubled and p.lo == z1:
+                return c_vec
+        raise PreconditionViolated("V does not act transitively")
+
+    phi = QuasiCocycle.from_function(V.dim, phi_fn)
+    return ExtractionData(group=X, dim=V.dim, coords=coords, representatives=reps, phi=phi)
+
+
+def reference_reconstruct(X: TwoValuedGroup, t: int):
+    """The pairs (x, p), p in t*x, that carry A, and the mul closure: the
+    index in A of the product of the pairs at two indices."""
+    tab = X.table
+    A = []
+    for x in range(len(X)):
+        A += [(x, p) for p in tab[t][x].support()]
+    pos = {a: i for i, a in enumerate(A)}
+
+    def mul(i, j):
+        a, b = A[i], A[j]
+        (x, p), (y, q) = a, b
+        pp, qq = tab[t][x].other(p), tab[t][y].other(q)
+        zs = (
+            set(tab[x][y].support())
+            & set(tab[p][qq].support())
+            & set(tab[pp][q].support())
+        )
+        found = []
+        for z in zs:
+            for r in tab[t][z].support():
+                rr = tab[t][z].other(r)
+                if r in tab[x][q] and r in tab[p][y] and rr in tab[x][qq] and rr in tab[pp][y]:
+                    found.append((z, r))
+        if len(found) != 1:
+            raise NonUniquePair(f"product of {a} and {b}: candidates {sorted(found)}")
+        return pos[found[0]]
+
+    return tuple(A), mul
+
+
+def reference_chain(table) -> tuple[int, ...]:
+    """Invariant factors of a finite abelian group table, from orders found
+    by repeated multiplication."""
+    orders = []
+    for x in range(len(table)):
+        k, acc = 1, x
+        while acc != 0:
+            acc = table[acc][x]
+            k += 1
+        orders.append(k)
+    return _chain_from_counts(len(table), lambda k: sum(1 for o in orders if k % o == 0))
+
+
+def reference_is_subgroup(X: TwoValuedGroup, members) -> bool:
+    t = X.table
+    return X.identity in members and all(
+        t[a][b].lo in members and t[a][b].hi in members for a in members for b in members
+    )
+
+
+def reference_is_homomorphism(X: TwoValuedGroup, Z: TwoValuedGroup, f) -> HomomorphismReport:
+    n = len(X)
+    tx, tz = X.table, Z.table
+    mismatches = []
+    for x in range(n):
+        row, image_row = tx[x], tz[f[x]]
+        for y in range(n):
+            p = row[y]
+            if tuple(sorted((f[p.lo], f[p.hi]))) != image_row[f[y]].as_multiset():
+                mismatches.append((x, y))
+    if mismatches:
+        return HomomorphismReport(False, mismatches)
+    if f[X.identity] != Z.identity:
+        return HomomorphismReport(False, [(X.identity, X.identity)])
+    kernel = frozenset(x for x in range(n) if f[x] == Z.identity)
+    image = frozenset(f)
+    report = HomomorphismReport(
+        True, [], kernel, image, reference_is_subgroup(X, kernel), reference_is_subgroup(Z, image)
+    )
+    if report.kernel_is_subgroup:
+        Q, proj = quotient(X, kernel)
+        cls_img = {}
+        ok = True
+        for x in range(n):
+            ok &= cls_img.setdefault(proj[x], f[x]) == f[x]
+        ok = ok and len(set(cls_img.values())) == len(Q) == len(image)
+        tq = Q.table
+        report.quotient_matches_image = ok and all(
+            tuple(sorted((cls_img[tq[i][j].lo], cls_img[tq[i][j].hi])))
+            == tz[cls_img[i]][cls_img[j]].as_multiset()
+            for i in range(len(Q))
+            for j in range(len(Q))
+        )
+    return report
+
+
+# --- checks ------------------------------------------------------------------
+
+def relabel(X: TwoValuedGroup, seed: int) -> tuple[TwoValuedGroup, list[int]]:
+    """A copy of X with its non-identity elements permuted, and the map
+    old -> new index, which is an isomorphism from X to the copy."""
+    n = len(X)
+    perm = np.array([0] + random.Random(seed).sample(range(1, n), n - 1))
+    inv = np.argsort(perm)
+    lo, hi = (perm[a[np.ix_(inv, inv)]] for a in (X.lo, X.hi))
+    names = [X.names[a] for a in inv]
+    return TwoValuedGroup.from_arrays(names, np.minimum(lo, hi), np.maximum(lo, hi)), perm.tolist()
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, PreconditionViolated, AmbiguousPower, NonUniquePair) as exc:
+        return type(exc)
+
+
+def check_walk(X: TwoValuedGroup, walk):
+    orders = orders_of(walk)
+    assert [order(X, x) for x in range(len(X))] == orders
+    for x, seq in enumerate(walk):
+        m = orders[x]
+        assert [power(X, x, k) for k in range(m + 1)] == [seq[k % m] for k in range(m + 1)]
+        for k in (-1, -m - 1, 3 * m + 2):
+            assert power(X, x, k) == seq[abs(k) % m]
+    assert is_special(X) == reference_is_special(X, orders)
+    assert squares_subgroup(X) == frozenset(square_of(seq) for seq in walk)
+    if not is_special(X)[0]:
+        assert boolean_subgroup(X) == reference_boolean_subgroup(X, orders)
+
+
+def check_split_and_cocycle(X: TwoValuedGroup):
+    Xp, m, witnesses = split_direct_factor(X)
+    assert (Xp, m, witnesses) == reference_split(X)
+    assert outcome(extract_quasicocycle, Xp) == outcome(reference_extract, Xp)
+
+
+def check_reconstruction(X: TwoValuedGroup, orders, rng: random.Random):
+    admissible = [x for x in range(len(X)) if orders[x] not in (1, 2, 4)]
+    if not admissible or is_special(X)[0]:
+        assert outcome(reconstruct_abelian, X) is ValueError
+        return
+    res = reconstruct_abelian(X)
+    assert res.t == admissible[0]
+    pairs, mul = reference_reconstruct(X, res.t)
+    assert res.pairs == pairs
+    na = len(pairs)
+    if na * na <= CHECKED_PRODUCTS:
+        cells = itertools.product(range(na), repeat=2)
+    else:
+        cells = [(rng.randrange(na), rng.randrange(na)) for _ in range(CHECKED_PRODUCTS)]
+    table = res.table.table
+    assert all(table[a][b] == mul(a, b) for a, b in cells)
+    assert res.chain == reference_chain(table)
+
+
+def check_homomorphisms(X: TwoValuedGroup, Y: TwoValuedGroup, perm, rng: random.Random):
+    maps = [(Y, perm)]
+    if len(X) > 1:
+        bent = list(perm)
+        a = rng.randrange(1, len(X))
+        bent[a] = rng.choice([v for v in range(len(X)) if v != perm[a]])
+        maps.append((Y, bent))
+    V = boolean_subgroup(X) if not is_special(X)[0] else None
+    if V is not None and V.dim:
+        Q, proj = quotient(X, frozenset({X.identity, V.members[1]}))
+        maps.append((Q, proj))
+    for Z, f in maps:
+        assert is_homomorphism(X, Z, f) == reference_is_homomorphism(X, Z, f)
+
+
+def test_sweep_matches_pair_references():
+    for i, (kind, param, m) in enumerate(sweep_labels()):
+        X = build(kind, param, m)
+        Y, perm = relabel(X, seed=i)
+        walk = reference_walk(Y)
+        check_walk(Y, walk)
+        check_split_and_cocycle(Y)
+        check_reconstruction(Y, orders_of(walk), random.Random(i))
+        check_homomorphisms(X, Y, perm, random.Random(i))
+
+
+def corrupted(X: TwoValuedGroup, cells: int, rng: random.Random, symmetric: bool):
+    """X with `cells` cells off the identity row and column overwritten by
+    random pairs, each mirrored across the diagonal when symmetric."""
+    n = len(X)
+    lo, hi = X.lo.astype(np.intp), X.hi.astype(np.intp)
+    for _ in range(cells):
+        i, j = rng.randrange(1, n), rng.randrange(1, n)
+        a, b = sorted((rng.randrange(n), rng.randrange(n)))
+        lo[i, j], hi[i, j] = a, b
+        if symmetric:
+            lo[j, i], hi[j, i] = a, b
+    return TwoValuedGroup.from_arrays(X.names, lo, hi)
+
+
+def random_involutive_table(n: int, rng: random.Random) -> TwoValuedGroup:
+    """A symmetric table with a strong identity and e in every x*x, the
+    other entries random: its power walks end in every possible way."""
+    lo = np.zeros((n, n), dtype=np.intp)
+    lo[0], lo[:, 0] = np.arange(n), np.arange(n)
+    hi = lo.copy()
+    for i in range(1, n):
+        for j in range(i, n):
+            a, b = sorted((0 if i == j else rng.randrange(n), rng.randrange(n)))
+            lo[i, j] = lo[j, i] = a
+            hi[i, j] = hi[j, i] = b
+    return TwoValuedGroup.from_arrays([str(i) for i in range(n)], lo, hi)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_walk_matches_reference_on_broken_tables(seed):
+    rng = random.Random(seed)
+    if seed % 3 == 2:
+        X = random_involutive_table(rng.randrange(2, 12), rng)
+    else:
+        label = rng.choice([lab for lab in sweep_labels() if lab != ("principal", (), 0)])
+        X = corrupted(build(*label), rng.randrange(1, 4), rng, symmetric=seed % 3 == 0)
+    for x in range(len(X)):
+        try:
+            seq = reference_power_sequence(X, x)
+        except AmbiguousPower as exc:
+            for call in (lambda: order(X, x), lambda: power(X, x, 1)):
+                with pytest.raises(AmbiguousPower) as got:
+                    call()
+                assert str(got.value) == str(exc)
+            continue
+        m = max(1, len(seq) - 1)
+        assert order(X, x) == m
+        exponents = range(-m, 2 * m + 1)
+        assert [power(X, x, k) for k in exponents] == [seq[abs(k) % m] for k in exponents]
+
+
+def test_ambiguous_power_is_per_element():
+    X = double(FinAbelianGroup((3,)))
+    assert order(X, 0) == 1
+    with pytest.raises(AmbiguousPower):
+        power(X, 1, 2)
+    with pytest.raises(AmbiguousPower):
+        reference_power_sequence(X, 1)
+
+
+def test_array_paths_never_build_the_pair_view():
+    X = product_with_boolean(principal(2, 6), 1)
+    assert "table" not in vars(X)
+    classify(X)
+    reconstruct_abelian(X)
+    is_homomorphism(X, X, list(range(len(X))))
+    u = next(x for x in range(1, len(X)) if order(X, x) == 2)
+    branching_set(X, u)
+    assert product(X, 1, 2) == Pair(int(X.lo[1, 2]), int(X.hi[1, 2]))
+    assert "table" not in vars(X)
