@@ -10,7 +10,7 @@ import time
 from twovalued import all_labels_of_size, classify, enumerate_all
 
 print(f"{'size':>4} {'search':>7} {'labels':>7}  classes")
-for k in range(1, 7):
+for k in range(1, 8):
     t0 = time.time()
     groups = enumerate_all(k)
     dt = time.time() - t0

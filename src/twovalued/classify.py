@@ -36,7 +36,7 @@ from .constructions import (
     special_series,
     unipotent,
 )
-from .core import AmbiguousPower, TwoValuedGroup, _element, _orders, index_dtype, order, x_blocks
+from .core import AmbiguousPower, TwoValuedGroup, _element, _orders, index_dtype, order
 from .cocycle import cohomology_invariant, extract_quasicocycle
 from .structure import is_special, split_direct_factor
 
@@ -259,14 +259,25 @@ def _table_chain(t: np.ndarray) -> tuple[int, ...]:
     t = t.astype(index_dtype(n))
     if not np.array_equal(t, t.T):
         raise NotAbelian("multiplication is not commutative")
-    # (xy)z == x(yz), in blocks of x so memory stays bounded
-    for xs in x_blocks(n):
-        rows = t[xs]
-        left = np.take(t, rows, axis=0)
-        right = np.take(rows, t, axis=1)
-        if not np.array_equal(left, right):
-            x, y, z = map(int, np.argwhere(left != right)[0])
-            raise NotAssociative(f"first failing triple: {(xs.start + x, y, z)}")
+    # Light's test: the g with (xg)y = x(gy) for all x, y are closed under
+    # products, so checking g in a generating set S covers every g.  S is
+    # picked greedily: the first element not yet reached from e by right
+    # multiplication by S joins S.
+    reached = every == 0
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        new = reached.copy()
+        while new.any():
+            hit = np.zeros(n, dtype=bool)
+            hit[t[np.ix_(new, gens)]] = True
+            new = hit & ~reached
+            reached |= new
+    for g in gens:
+        bad = t[t[:, g]] != t[:, t[g]]
+        if bad.any():
+            x, y = map(int, np.argwhere(bad)[0])
+            raise NotAssociative(f"first failing triple: {(x, g, y)}")
     # x^k for all x at once; a finished x stays at 0
     orders = np.ones(n, dtype=np.intp)
     acc = every

@@ -1,4 +1,4 @@
-"""File format, brute-force enumeration, and the command-line interface.
+"""File format and the command-line interface.
 
 GroupFile is a small JSON document:
 
@@ -13,6 +13,9 @@ The identity must be listed first; cells are 2-element arrays of element
 names.  write_group emits a canonical form (cells ordered by element index,
 2-space indent, trailing newline) so read/write round trips are
 byte-stable.
+
+enumerate_all and BudgetExceeded live in twovalued.enumeration; they are
+re-exported here for existing importers.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ import json
 import os
 import sys
 
-from .classify import canonical_key, classify
+from .classify import classify
 from .constructions import principal, product_with_boolean, special_series, unipotent
 from .core import Pair, TwoValuedGroup, verify_axioms
+from .enumeration import BudgetExceeded, enumerate_all
 from .formal import LawParams, random_sample_suite
 
 __all__ = [
@@ -40,8 +44,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-DEFAULT_K6_BUDGET = 50_000_000
-BUDGET_ENV_VAR = "TWOVALUED_ENUM_BUDGET"
 
 
 class ParseError(Exception):
@@ -49,10 +51,6 @@ class ParseError(Exception):
 
 
 class NonSquareTable(ParseError):
-    pass
-
-
-class BudgetExceeded(Exception):
     pass
 
 
@@ -134,179 +132,6 @@ def write_group(X: TwoValuedGroup, path: str):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-# --- enumeration ------------------------------------------------------------
-
-def enumerate_all(
-    k: int,
-    involutive_commutative: bool = True,
-    budget: int | None = None,
-) -> list[TwoValuedGroup]:
-    """All two-valued groups of size k up to isomorphism.
-
-    Depth-first fill of the multiplication table's upper triangle in
-    row-major order, with partial associativity pruning after each cell;
-    complete tables pass the full axiom sweep, and isomorphs are removed via
-    a canonical form.  In involutive-commutative mode the cell domains bake
-    in symmetry, the identity-in-diagonal condition, and inverse uniqueness.
-
-    Sizes: k <= 5 runs unbudgeted; k = 6 (involutive mode) needs a node
-    budget (default 50M, override via TWOVALUED_ENUM_BUDGET or the budget
-    argument).  General mode is capped at k <= 4.  BudgetExceeded when the
-    node count runs out.
-    """
-    if k < 1:
-        raise ValueError("size must be >= 1")
-    maxk = 6 if involutive_commutative else 4
-    if k > maxk:
-        raise ValueError(
-            f"enumeration supported up to size {maxk} in this mode"
-        )
-    if budget is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        if env is not None:
-            budget = int(env)
-        elif k == 6:
-            budget = DEFAULT_K6_BUDGET
-    names = tuple(["e"] + [f"x{i}" for i in range(1, k)])
-    if k == 1:
-        return [TwoValuedGroup(names=names, table=((Pair(0, 0),),))]
-
-    n = k
-    T: list[list[Pair | None]] = [[None] * n for _ in range(n)]
-    # parallel table of multiset codes: a pair [a, b] contributes one count
-    # in byte a and one in byte b, so a 4-element multiset is the sum of two
-    # codes and multiset equality is integer equality
-    C: list[list[int | None]] = [[None] * n for _ in range(n)]
-
-    def code(p: Pair) -> int:
-        return (1 << (8 * p.lo)) + (1 << (8 * p.hi))
-
-    for x in range(n):
-        T[0][x] = T[x][0] = Pair(x, x)
-        C[0][x] = C[x][0] = code(Pair(x, x))
-
-    if involutive_commutative:
-        cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    else:
-        cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    diag_domain = [Pair.of(0, w) for w in range(n)]
-    offd_domain = [Pair.of(a, b) for a in range(1, n) for b in range(a, n)]
-    full_domain = [Pair.of(a, b) for a in range(n) for b in range(a, n)]
-
-    def domain(i: int, j: int) -> list[Pair]:
-        if not involutive_commutative:
-            return full_domain
-        return diag_domain if i == j else offd_domain
-
-    # identity-free triples; for a symmetric table (x,y,z) and (z,y,x) give
-    # the same multiset equation, so keep x <= z in that mode
-    if involutive_commutative:
-        triples = [
-            (x, y, z)
-            for x in range(1, n)
-            for y in range(1, n)
-            for z in range(x, n)
-        ]
-    else:
-        triples = [
-            (x, y, z)
-            for x in range(1, n)
-            for y in range(1, n)
-            for z in range(1, n)
-        ]
-    per_cell: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for (i, j) in cells:
-        seen = set()
-        mine = []
-        for tr in triples:
-            if i in tr or j in tr:
-                if tr not in seen:
-                    seen.add(tr)
-                    mine.append(tr)
-        per_cell[(i, j)] = mine
-
-    # guard bits for the per-byte >= test: counts stay below 0x80, so after
-    # (big | H) - small each byte keeps its guard bit iff big_byte >= small_byte
-    H = sum(0x80 << (8 * b) for b in range(n))
-
-    def partial_ok(i: int, j: int) -> bool:
-        for (x, y, z) in per_cell[(i, j)]:
-            pxy = T[x][y]
-            pyz = T[y][z]
-            if pxy is None or pyz is None:
-                continue
-            l1, l2 = C[pxy.lo][z], C[pxy.hi][z]
-            r1, r2 = C[x][pyz.lo], C[x][pyz.hi]
-            if l1 is not None and l2 is not None:
-                if r1 is not None and r2 is not None:
-                    if l1 + l2 != r1 + r2:
-                        return False
-                else:
-                    half = r1 if r1 is not None else r2
-                    if half is not None:
-                        if (((l1 + l2) | H) - half) & H != H:
-                            return False
-            elif r1 is not None and r2 is not None:
-                half = l1 if l1 is not None else l2
-                if half is not None:
-                    if (((r1 + r2) | H) - half) & H != H:
-                        return False
-        if not involutive_commutative:
-            # inverse uniqueness: no element may have two inverse candidates
-            for x in range(1, n):
-                cnt = 0
-                for y in range(n):
-                    pa, pb = T[x][y], T[y][x]
-                    if (pa is not None and 0 in pa) or (pb is not None and 0 in pb):
-                        cnt += 1
-                if cnt > 1:
-                    return False
-        return True
-
-    found: list[TwoValuedGroup] = []
-    nodes = 0
-
-    def place(ci: int):
-        nonlocal nodes
-        if ci == len(cells):
-            tab = tuple(tuple(row) for row in T)
-            X = TwoValuedGroup(names=names, table=tab)
-            rep = verify_axioms(X)
-            if rep.is_two_valued_group and (
-                not involutive_commutative
-                or (rep.is_commutative and rep.is_involutive)
-            ):
-                found.append(X)
-            return
-        i, j = cells[ci]
-        for p in domain(i, j):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(f"node budget {budget} exhausted")
-            cp = code(p)
-            T[i][j] = p
-            C[i][j] = cp
-            if involutive_commutative:
-                T[j][i] = p
-                C[j][i] = cp
-            if partial_ok(i, j):
-                place(ci + 1)
-            T[i][j] = None
-            C[i][j] = None
-            if involutive_commutative and i != j:
-                T[j][i] = None
-                C[j][i] = None
-
-    place(0)
-
-    seen_keys = {}
-    for X in found:
-        key = canonical_key(X)
-        if key not in seen_keys:
-            seen_keys[key] = X
-    return [seen_keys[key] for key in sorted(seen_keys)]
 
 
 # --- command line -----------------------------------------------------------
@@ -437,6 +262,19 @@ def _cmd_elliptic(args) -> int:
     return 0 if passed == total else 1
 
 
+def _int_at_least(least: int):
+    """An argparse type: an int no smaller than least."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def cli_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="twovalued",
@@ -457,7 +295,7 @@ def cli_main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run the axiom sweep on a GroupFile")
     p.add_argument("group", help="GroupFile path ('-' = stdin)")
-    p.add_argument("--max-violations", type=int, default=20)
+    p.add_argument("--max-violations", type=_int_at_least(0), default=20)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("classify", help="print the isomorphism-class label")
@@ -469,7 +307,7 @@ def cli_main(argv=None) -> int:
     p.add_argument("right")
     p.add_argument("--witness", action="store_true",
                    help="also print an explicit isomorphism")
-    p.add_argument("--budget", type=int, default=10_000_000,
+    p.add_argument("--budget", type=_int_at_least(0), default=10_000_000,
                    help="node budget for the witness search")
     p.set_defaults(fn=_cmd_iso)
 
@@ -480,8 +318,8 @@ def cli_main(argv=None) -> int:
                       help="drop the involutivity/commutativity restriction")
     mode.add_argument("--involutive-commutative", action="store_true",
                       help="restrict to involutive commutative groups (the default)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="search node budget (required scale for size 6)")
+    p.add_argument("--budget", type=_int_at_least(0), default=None,
+                   help="search node budget (default 50M from size 6 on)")
     p.add_argument("--json", action="store_true",
                    help="also print each group as a GroupFile")
     p.set_defaults(fn=_cmd_enumerate)
@@ -489,14 +327,12 @@ def cli_main(argv=None) -> int:
     p = sub.add_parser("elliptic", help="check the algebraic addition law numerically")
     p.add_argument("--params", default=None, metavar="A1,A2,A3",
                    help="law parameters as three complex numbers (default: random per sample)")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_int_at_least(1), default=100)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=20240801)
     p.set_defaults(fn=_cmd_elliptic)
 
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.max_violations < 0:
-        parser.error("argument --max-violations: must be >= 0")
     try:
         code = args.fn(args)
         sys.stdout.flush()

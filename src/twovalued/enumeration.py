@@ -1,0 +1,319 @@
+"""Exhaustive enumeration of small two-valued groups.
+
+enumerate_all fills the multiplication table cell by cell, depth first, and
+returns one group per isomorphism class.  The involutive commutative search
+prunes with three consequences of the axioms, so no class is lost:
+
+* exchange: z in x*y implies x in y*z (e is in z*z, which lies in
+  (x*y)*z = x*(y*z); so e is in x*w for some w in y*z, and the inverse of x
+  is unique, so w = x).  Together with commutativity, "z in x*y" is a
+  symmetric relation on {x, y, z}.
+* forcing: when the cell being filled is the only unknown term of an
+  associativity equation (x*y)*z = x*(y*z), the equation fixes its value.
+* type order: write x*x = [e, w]; the type of x is 0 for w = e, 1 for
+  w = x and 2 otherwise.  Types are invariant under relabelling, so it is
+  enough to search tables whose non-identity elements come in non-decreasing
+  type.
+
+Completed tables pass verify_axioms and are deduplicated by their classify
+label.  The general search (any two-valued group) is the plain backtracking
+fill with partial associativity checks; it removes isomorphs with
+canonical_key.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+
+from .classify import canonical_key, classify
+from .core import Pair, TwoValuedGroup, verify_axioms
+
+__all__ = ["BudgetExceeded", "enumerate_all"]
+
+DEFAULT_BUDGET = 50_000_000
+BUDGET_ENV_VAR = "TWOVALUED_ENUM_BUDGET"
+MAX_SIZE_INVOLUTIVE = 7
+MAX_SIZE_GENERAL = 4
+
+
+class BudgetExceeded(Exception):
+    pass
+
+
+def enumerate_all(
+    k: int,
+    involutive_commutative: bool = True,
+    budget: int | None = None,
+) -> list[TwoValuedGroup]:
+    """All two-valued groups of size k up to isomorphism.
+
+    A node is one value tried in one cell.  Sizes below 6 run unbudgeted;
+    from size 6 on the default node budget is 50M.  The budget argument, or
+    else the TWOVALUED_ENUM_BUDGET environment variable, overrides it, and
+    BudgetExceeded is raised when the nodes run out.  Sizes go up to 7 in
+    involutive commutative mode and up to 4 in general mode.
+
+    >>> sorted(str(classify(X)) for X in enumerate_all(4))
+    ['Principal(2,2)', 'Principal(6)', 'Principal(7)']
+    """
+    if k < 1:
+        raise ValueError("size must be >= 1")
+    maxk = MAX_SIZE_INVOLUTIVE if involutive_commutative else MAX_SIZE_GENERAL
+    if k > maxk:
+        raise ValueError(f"enumeration supported up to size {maxk} in this mode")
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if env is not None:
+            try:
+                budget = int(env)
+            except ValueError:
+                raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, not {env!r}") from None
+            if budget < 0:
+                raise ValueError(f"{BUDGET_ENV_VAR} must be >= 0, not {budget}")
+        elif k >= 6:
+            budget = DEFAULT_BUDGET
+    elif budget < 0:
+        raise ValueError(f"node budget must be >= 0, not {budget}")
+    if involutive_commutative:
+        return _enumerate_involutive(k, budget)
+    return _enumerate_general(k, budget)
+
+
+def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
+    """The involutive commutative search; budget None is unlimited.
+
+    The table is kept in flat lists indexed by x*n + y: lo and hi hold the
+    pair x*y (-1 while unknown) and code holds its multiset code (0 while
+    unknown).  A pair [a, b] has code 256^a + 256^b, so a multiset of pairs
+    is the sum of their codes and multiset equality is integer equality.
+    Cells (i, j) with 1 <= i <= j are filled in row-major order.
+    """
+    names = tuple(["e"] + [f"x{i}" for i in range(1, n)])
+    lo, hi, code = [-1] * (n * n), [-1] * (n * n), [0] * (n * n)
+    for x in range(n):
+        for c in (x, x * n):
+            lo[c] = hi[c] = x
+            code[c] = 2 << (8 * x)
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    # pos[x*n + y] is the fill position of cell (x, y); row and column e
+    # are known from the start
+    pos = [-1] * (n * n)
+    for ci, (i, j) in enumerate(cells):
+        pos[i * n + j] = pos[j * n + i] = ci
+    pair_of_code = {(1 << (8 * a)) + (1 << (8 * b)): (a, b) for a in range(n) for b in range(a, n)}
+    diag_domain = [(0, w) for w in range(n)]
+    offd_domain = [(a, b) for a in range(1, n) for b in range(a, n)]
+    # guard bits for the per-byte >= test: counts stay below 0x80, so after
+    # (big | G) - small each byte keeps its guard bit iff big_byte >= small_byte
+    G = sum(0x80 << (8 * b) for b in range(n))
+
+    # Equations to check at cell (i, j): the identity-free triples (x, y, z)
+    # with i or j in {x, z} -- each cell of an equation contains x or z --
+    # whose cells x*y and y*z are known by then.  For a symmetric table
+    # (x, y, z) and (z, y, x) give the same equation, so x <= z.
+    # The ones known before cell (i, j) is filled can force its value.
+    checks: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
+    settled: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
+    for x in range(1, n):
+        for y in range(1, n):
+            for z in range(x, n):
+                ready = max(pos[x * n + y], pos[y * n + z])
+                for ci in range(ready, len(cells)):
+                    if {x, z} & set(cells[ci]):
+                        checks[ci].append((x * n + y, y * n + z, x * n, z))
+                        if ci > ready:
+                            settled[ci].append(checks[ci][-1])
+
+    def consistent(ci: int) -> bool:
+        """Every equation of cell ci is true, or still satisfiable where one
+        side is known and the other half known."""
+        for xy, yz, xr, z in checks[ci]:
+            l1, l2 = code[lo[xy] * n + z], code[hi[xy] * n + z]
+            r1, r2 = code[xr + lo[yz]], code[xr + hi[yz]]
+            if l1 and l2:
+                if r1 and r2:
+                    if l1 + l2 != r1 + r2:
+                        return False
+                elif r1 or r2:
+                    if (((l1 + l2) | G) - (r1 or r2)) & G != G:
+                        return False
+            elif r1 and r2 and (l1 or l2):
+                if (((r1 + r2) | G) - (l1 or l2)) & G != G:
+                    return False
+        return True
+
+    def type_of(x: int, w: int) -> int:
+        """The type of x when x*x = [e, w]."""
+        return 0 if w == 0 else 1 if w == x else 2
+
+    def candidates(ci: int) -> list[tuple[int, int]]:
+        """The values cell ci may take, given the known cells."""
+        i, j = cells[ci]
+        # forcing: an equation whose only unknown cell is (i, j), appearing
+        # s times on the left and t times on the right, reads
+        # (s - t) * v = known right - known left
+        forced = None
+        for xy, yz, xr, z in settled[ci]:
+            a, b, c, d = lo[xy] * n + z, hi[xy] * n + z, xr + lo[yz], xr + hi[yz]
+            ca, cb, cc, cd = code[a], code[b], code[c], code[d]
+            if ca and cb and cc and cd:
+                continue  # checked when its last cell was placed
+            if (ca or pos[a] == ci) and (cb or pos[b] == ci) and (cc or pos[c] == ci) and (
+                cd or pos[d] == ci
+            ):
+                mult = (not ca) + (not cb) - (not cc) - (not cd)
+                diff = cc + cd - ca - cb
+                if mult == 0:
+                    if diff:
+                        return []
+                    continue
+                v, rem = divmod(diff, mult)
+                if rem or v not in pair_of_code or forced not in (None, v):
+                    return []
+                forced = v
+        # exchange: x must lie in i*j whenever j is in x*i or i is in x*j,
+        # and c may lie in i*j only if i is in j*c and j in i*c
+        need = set()
+        ok = [True] * n
+        for x in range(n):
+            xi, xj = x * n + i, x * n + j
+            if (lo[xi] == j or hi[xi] == j) or (lo[xj] == i or hi[xj] == i):
+                need.add(x)
+            ok[x] = (lo[xj] < 0 or lo[xj] == i or hi[xj] == i) and (
+                lo[xi] < 0 or lo[xi] == j or hi[xi] == j
+            )
+        if len(need) > 2:
+            return []
+        if i == j:
+            # type order: x_i may not have a smaller type than x_(i-1)
+            least = type_of(i - 1, hi[(i - 1) * (n + 1)]) if i > 1 else 0
+            domain = [(e, w) for e, w in diag_domain if type_of(i, w) >= least]
+        else:
+            domain = offd_domain
+        if forced is not None:
+            domain = [pair_of_code[forced]] if pair_of_code[forced] in domain else []
+        return [(a, b) for a, b in domain if ok[a] and ok[b] and need <= {a, b}]
+
+    found: dict = {}
+    nodes = 0
+
+    def place(ci: int):
+        nonlocal nodes
+        if ci == len(cells):
+            X = TwoValuedGroup.from_arrays(
+                names, np.array(lo).reshape(n, n), np.array(hi).reshape(n, n)
+            )
+            rep = verify_axioms(X)
+            if rep.is_two_valued_group and rep.is_commutative and rep.is_involutive:
+                found.setdefault(classify(X), X)
+            return
+        i, j = cells[ci]
+        ij, ji = i * n + j, j * n + i
+        for a, b in candidates(ci):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(f"node budget {budget} exhausted")
+            lo[ij] = lo[ji] = a
+            hi[ij] = hi[ji] = b
+            code[ij] = code[ji] = (1 << (8 * a)) + (1 << (8 * b))
+            if consistent(ci):
+                place(ci + 1)
+        lo[ij] = lo[ji] = hi[ij] = hi[ji] = -1
+        code[ij] = code[ji] = 0
+
+    place(0)
+    return [found[label] for label in sorted(found, key=str)]
+
+
+def _enumerate_general(n: int, budget: int | None) -> list[TwoValuedGroup]:
+    """The general search; budget None is unlimited.
+
+    Depth-first fill of the off-identity cells in row-major order, with
+    partial associativity pruning after each cell and inverse uniqueness;
+    complete tables pass the full axiom sweep, and isomorphs are removed via
+    canonical_key.
+    """
+    names = tuple(["e"] + [f"x{i}" for i in range(1, n)])
+    T: list[list[Pair | None]] = [[None] * n for _ in range(n)]
+    # parallel table of multiset codes, as in the involutive search
+    C: list[list[int | None]] = [[None] * n for _ in range(n)]
+
+    def code(p: Pair) -> int:
+        return (1 << (8 * p.lo)) + (1 << (8 * p.hi))
+
+    for x in range(n):
+        T[0][x] = T[x][0] = Pair(x, x)
+        C[0][x] = C[x][0] = code(Pair(x, x))
+
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    domain = [Pair.of(a, b) for a in range(n) for b in range(a, n)]
+    triples = [
+        (x, y, z) for x in range(1, n) for y in range(1, n) for z in range(1, n)
+    ]
+    per_cell = {
+        (i, j): [tr for tr in triples if i in tr or j in tr] for (i, j) in cells
+    }
+    H = sum(0x80 << (8 * b) for b in range(n))
+
+    def partial_ok(i: int, j: int) -> bool:
+        for (x, y, z) in per_cell[(i, j)]:
+            pxy = T[x][y]
+            pyz = T[y][z]
+            if pxy is None or pyz is None:
+                continue
+            l1, l2 = C[pxy.lo][z], C[pxy.hi][z]
+            r1, r2 = C[x][pyz.lo], C[x][pyz.hi]
+            if l1 is not None and l2 is not None:
+                if r1 is not None and r2 is not None:
+                    if l1 + l2 != r1 + r2:
+                        return False
+                else:
+                    half = r1 if r1 is not None else r2
+                    if half is not None:
+                        if (((l1 + l2) | H) - half) & H != H:
+                            return False
+            elif r1 is not None and r2 is not None:
+                half = l1 if l1 is not None else l2
+                if half is not None:
+                    if (((r1 + r2) | H) - half) & H != H:
+                        return False
+        # inverse uniqueness: no element may have two inverse candidates
+        for x in range(1, n):
+            cnt = 0
+            for y in range(n):
+                pa, pb = T[x][y], T[y][x]
+                if (pa is not None and 0 in pa) or (pb is not None and 0 in pb):
+                    cnt += 1
+            if cnt > 1:
+                return False
+        return True
+
+    found: list[TwoValuedGroup] = []
+    nodes = 0
+
+    def place(ci: int):
+        nonlocal nodes
+        if ci == len(cells):
+            X = TwoValuedGroup(names=names, table=tuple(tuple(row) for row in T))
+            if verify_axioms(X).is_two_valued_group:
+                found.append(X)
+            return
+        i, j = cells[ci]
+        for p in domain:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(f"node budget {budget} exhausted")
+            T[i][j] = p
+            C[i][j] = code(p)
+            if partial_ok(i, j):
+                place(ci + 1)
+            T[i][j] = None
+            C[i][j] = None
+
+    place(0)
+    seen_keys = {}
+    for X in found:
+        seen_keys.setdefault(canonical_key(X), X)
+    return [seen_keys[key] for key in sorted(seen_keys)]

@@ -40,7 +40,7 @@ from twovalued.classify import (
     reconstruct_abelian,
     witness_isomorphism,
 )
-from twovalued.cli import enumerate_all
+from twovalued.enumeration import enumerate_all
 from twovalued.formal import (
     F_sym,
     LawParams,
@@ -338,7 +338,7 @@ def test_09_enumeration_oracle():
     t0 = time.time()
     bad = []
     pairwise_ok = True
-    for k in range(1, 6):
+    for k in range(1, 8):
         groups = enumerate_all(k)
         found = sorted(str(classify(g)) for g in groups)
         expected = sorted(str(l) for l in all_labels_of_size(k))
@@ -354,10 +354,10 @@ def test_09_enumeration_oracle():
     ok = not bad and pairwise_ok and elapsed < 600
     report(
         9,
-        "exhaustive search at sizes 1..5 agrees with the label arithmetic, "
+        "exhaustive search at sizes 1..7 agrees with the label arithmetic, "
         "outputs verified and pairwise non-isomorphic",
         ok,
-        f"counts by size {[len(all_labels_of_size(k)) for k in range(1, 6)]}, "
+        f"counts by size {[len(all_labels_of_size(k)) for k in range(1, 8)]}, "
         f"{elapsed:.1f}s" + (f", failures: {bad[:2]}" if bad else ""),
     )
 

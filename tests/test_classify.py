@@ -19,6 +19,7 @@ from twovalued.constructions import (
 )
 from twovalued.classify import (
     ClassLabel,
+    GroupTable,
     NotAbelian,
     NotAssociative,
     Timeout,
@@ -244,6 +245,21 @@ class TestReconstruction:
     def test_rejects_special_group(self):
         with pytest.raises(ValueError):
             reconstruct_abelian(special_series(2))
+
+    def test_corrupted_table_with_permutation_rows_is_not_associative(self):
+        # for d of order 2, swap the values 2a and 2a + d in the cells
+        # (a, a), (a, a + d), (a + d, a), (a + d, a + d): the table stays
+        # commutative with permutation rows, but is no group table any more
+        t = [list(row) for row in reconstruct_abelian(principal(4, 8)).table.table]
+        n = len(t)
+        d = next(x for x in range(1, n) if t[x][x] == 0)
+        a = next(x for x in range(1, n) if x != d)
+        ad = t[a][d]
+        t[a][a], t[a][ad] = t[a][ad], t[a][a]
+        t[ad][a], t[ad][ad] = t[a][ad], t[a][a]
+        assert all(sorted(row) == list(range(n)) for row in t)
+        with pytest.raises(NotAssociative):
+            invariant_factors(GroupTable(table=tuple(map(tuple, t))))
 
     def test_table_is_group_with_doubling_pairs(self):
         X = principal(5)

@@ -223,6 +223,14 @@ class TestIso:
         assert code == 0
         assert "->" in out
 
+    def test_negative_witness_budget_is_usage_error(self, tmp_path, capsys):
+        a = str(tmp_path / "a.json")
+        write_group(principal(6), a)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["iso", a, a, "--witness", "--budget", "-1"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
 
 class TestEnumerate:
     def test_counts_match_search(self, capsys):
@@ -257,6 +265,18 @@ class TestEnumerate:
     def test_oversized_request_is_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "9", "--involutive-commutative")
         assert code == 2
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["enumerate", "5", "--budget", "-5"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+    def test_non_integer_env_budget_names_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("TWOVALUED_ENUM_BUDGET", "lots")
+        code, _, err = run(capsys, "enumerate", "4")
+        assert code == 2
+        assert "TWOVALUED_ENUM_BUDGET" in err
 
 
 class TestEnumerateLibrary:
@@ -300,6 +320,13 @@ class TestElliptic:
     def test_complex_params_with_i_notation(self, capsys):
         code, out, _ = run(capsys, "elliptic", "--params", "0.1+0.1i,0,0", "--samples", "5")
         assert code == 0
+
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_too_few_samples_is_usage_error(self, samples, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["elliptic", "--samples", samples])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
     def test_malformed_params_usage_error(self, capsys):
         code, _, err = run(capsys, "elliptic", "--params", "1,2")
