@@ -23,9 +23,8 @@ branch; classify does not call it.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +35,9 @@ from .constructions import (
     special_series,
     unipotent,
 )
-from .core import AmbiguousPower, TwoValuedGroup, _element, _orders, index_dtype, order
+from .core import AmbiguousPower, TwoValuedGroup, _element, _orders, index_dtype
 from .cocycle import cohomology_invariant, extract_quasicocycle
-from .structure import is_special, split_direct_factor
+from .structure import _mismatches, is_special, split_direct_factor
 
 __all__ = [
     "ClassLabel",
@@ -56,7 +55,6 @@ __all__ = [
     "all_labels_of_size",
     "are_isomorphic",
     "witness_isomorphism",
-    "canonical_key",
 ]
 
 
@@ -354,23 +352,27 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
     pairs = tuple(zip(y.tolist(), q.tolist()))
     na = len(pairs)
 
-    def has(u, v, z):
-        """z in u*v, cellwise."""
-        return (L[u, v] == z) | (H[u, v] == z)
+    def has(cell, z):
+        """z in u*v, cellwise, for cell = (lo, hi) gathered at (u, v)."""
+        return (cell[0] == z) | (cell[1] == z)
 
     table = np.empty((na, na), dtype=np.intp)
     step = max(1, (1 << 16) // na)  # rows per block of about 64K cells
     for a0 in range(0, na, step):
         rows = slice(a0, a0 + step)
         x, p, pp = y[rows, None], q[rows, None], qq[rows, None]
+        # the six products the conditions read, each gathered once
+        p_qq, pp_q, x_q, p_y, x_qq, pp_y = (
+            (L[u, v], H[u, v]) for u, v in ((p, qq), (pp, q), (x, q), (p, y), (x, qq), (pp, y))
+        )
         hits = []  # (ok, z, r, index of (z, r) in A) per candidate
         z_lo, z_hi = L[x, y], H[x, y]
         for z, new_z in ((z_lo, True), (z_hi, z_lo != z_hi)):
-            ok_z = new_z & has(p, qq, z) & has(pp, q, z)
+            ok_z = new_z & has(p_qq, z) & has(pp_q, z)
             r_lo, r_hi = t_lo[z], t_hi[z]
             for r, rr, u in ((r_lo, r_hi, 0), (r_hi, r_lo, 1)):
                 ok = ok_z & (r_lo != r_hi) if u else ok_z
-                ok = ok & has(x, q, r) & has(p, y, r) & has(x, qq, rr) & has(pp, y, rr)
+                ok = ok & has(x_q, r) & has(p_y, r) & has(x_qq, rr) & has(pp_y, rr)
                 hits.append((ok, z, r, start[z] + u))
         count = sum(ok for ok, *_ in hits)
         if (count != 1).any():
@@ -441,48 +443,56 @@ def are_isomorphic(X: TwoValuedGroup, Z: TwoValuedGroup) -> bool:
 
 # --- explicit isomorphism search -------------------------------------------
 
-def _normalize(keys) -> list[int]:
-    ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [ranks[k] for k in keys]
+def _rank_rows(keys: np.ndarray) -> np.ndarray:
+    """The dense rank of each row of a 2-d integer array, in lexicographic
+    order of the rows."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    step = np.zeros(len(keys), dtype=np.intp)
+    step[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step)
+    return ranks
 
 
-def _initial_colors(X: TwoValuedGroup) -> list[int]:
-    n = len(X)
-    t = X.table
+def _initial_colors(X: TwoValuedGroup) -> np.ndarray:
+    """Colours from invariants of each row: identity, x*x doubled, e in
+    x*x, and per row the doubled cells, cells holding e and cells holding x;
+    then the order of x and its special partners, when every order is
+    defined."""
+    lo, hi = X.lo, X.hi
+    every = np.arange(len(X))
+    doubled = lo == hi
+    mine = every[:, None]
+    keys = [
+        every == 0,
+        doubled.diagonal(),
+        lo.diagonal() == 0,
+        doubled.sum(axis=1),
+        (lo == 0).sum(axis=1),
+        ((lo == mine) | (hi == mine)).sum(axis=1),
+    ]
     try:
-        ords = [order(X, x) for x in range(n)]
+        ords = _orders(X)
     except AmbiguousPower:
-        ords = None
-    keys = []
-    for x in range(n):
-        row = t[x]
-        doubled = sum(1 for p in row if p.is_doubled)
-        e_in = sum(1 for p in row if 0 in p)
-        self_in = sum(1 for p in row if x in p)
-        key = (x == 0, t[x][x].is_doubled, 0 in t[x][x], doubled, e_in, self_in)
-        if ords is not None:
-            big = ords[x] > 2
-            special_partners = sum(
-                1 for y in range(n) if big and ords[y] > 2 and t[x][y].is_doubled
-            )
-            key += (ords[x], special_partners)
-        keys.append(key)
-    return _normalize(keys)
+        pass
+    else:
+        big = ords > 2
+        keys += [ords, (doubled & big & big[:, None]).sum(axis=1)]
+    return _rank_rows(np.column_stack(keys).astype(np.int64))
 
 
-def _refine(X: TwoValuedGroup, cols: list[int]) -> list[int]:
-    n = len(X)
-    t = X.table
+def _refine(X: TwoValuedGroup, cols: np.ndarray) -> np.ndarray:
+    """Refine colours until stable: the new colour of x ranks its old colour
+    and the sorted multiset of triples (colour of y, sorted colours of x*y)."""
+    lo, hi = X.lo, X.hi
     while True:
-        keys = []
-        for x in range(n):
-            sig = sorted(
-                (cols[y], tuple(sorted((cols[p.lo], cols[p.hi]))))
-                for y, p in enumerate(t[x])
-            )
-            keys.append((cols[x], tuple(sig)))
-        new = _normalize(keys)
-        if new == cols:
+        k = int(cols.max()) + 1
+        a, b = cols[lo], cols[hi]
+        # each triple as one base-k number, so sorting the numbers sorts them
+        cells = (cols * k + np.minimum(a, b)) * k + np.maximum(a, b)
+        new = _rank_rows(np.column_stack([cols, np.sort(cells, axis=1)]))
+        if np.array_equal(new, cols):
             return cols
         cols = new
 
@@ -497,11 +507,11 @@ def witness_isomorphism(
     n = len(X)
     if len(Z) != n:
         return None
-    cx = _refine(X, _initial_colors(X))
-    cz = _refine(Z, _initial_colors(Z))
+    cx = _refine(X, _initial_colors(X)).tolist()
+    cz = _refine(Z, _initial_colors(Z)).tolist()
     if sorted(cx) != sorted(cz):
         return None
-    tx, tz = X.table, Z.table
+    lx, hx, lz, hz = X.lo.tolist(), X.hi.tolist(), Z.lo.tolist(), Z.hi.tolist()
     cand = {c: [z for z in range(n) if cz[z] == c] for c in set(cz)}
     f = [-1] * n
     finv = [-1] * n
@@ -523,26 +533,31 @@ def witness_isomorphism(
             finv[b] = a
             trail.append(a)
             for y in range(n):
-                if f[y] == -1:
+                fy = f[y]
+                if fy == -1:
                     continue
-                for (pa, pb) in ((tx[a][y], tz[b][f[y]]), (tx[y][a], tz[f[y]][b])):
-                    l1, l2 = pa.lo, pa.hi
+                # the cells a*y and y*a against their images b*f(y), f(y)*b
+                for l1, l2, q1, q2 in (
+                    (lx[a][y], hx[a][y], lz[b][fy], hz[b][fy]),
+                    (lx[y][a], hx[y][a], lz[fy][b], hz[fy][b]),
+                ):
                     m1, m2 = f[l1], f[l2]
                     if m1 != -1 and m2 != -1:
-                        if tuple(sorted((m1, m2))) != pb.as_multiset():
+                        if (min(m1, m2), max(m1, m2)) != (q1, q2):
                             return False
-                    elif m1 != -1:
-                        if m1 not in pb:
+                    elif m1 != -1 or m2 != -1:
+                        # the unmapped one goes to the companion of the image
+                        m, rest = (m1, l2) if m1 != -1 else (m2, l1)
+                        if m == q1:
+                            queue.append((rest, q2))
+                        elif m == q2:
+                            queue.append((rest, q1))
+                        else:
                             return False
-                        queue.append((l2, pb.other(m1)))
-                    elif m2 != -1:
-                        if m2 not in pb:
-                            return False
-                        queue.append((l1, pb.other(m2)))
                     elif l1 == l2:
-                        if not pb.is_doubled:
+                        if q1 != q2:
                             return False
-                        queue.append((l1, pb.lo))
+                        queue.append((l1, q1))
         return True
 
     def undo(trail: list[int], mark: int):
@@ -559,12 +574,7 @@ def witness_isomorphism(
         while depth < n and f[by_class[depth]] != -1:
             depth += 1
         if depth == n:
-            for a in range(n):
-                for b in range(n):
-                    p = tx[a][b]
-                    if tuple(sorted((f[p.lo], f[p.hi]))) != tz[f[a]][f[b]].as_multiset():
-                        return False
-            return True
+            return not _mismatches(X, Z, np.array(f)).any()
         x = by_class[depth]
         for z in cand[cx[x]]:
             if finv[z] != -1:
@@ -578,43 +588,3 @@ def witness_isomorphism(
     if search(0):
         return list(f)
     return None
-
-
-def canonical_key(X: TwoValuedGroup, perm_budget: int = 1_000_000):
-    """A complete isomorphism invariant for small groups: the minimal
-    relabeled table over all color-respecting bijections.  Intended for
-    enumeration-scale sizes; raises ValueError when the color classes are
-    too symmetric to iterate."""
-    n = len(X)
-    cols = _refine(X, _initial_colors(X))
-    classes: dict[int, list[int]] = {}
-    for x in range(n):
-        classes.setdefault(cols[x], []).append(x)
-    ordered = [classes[c] for c in sorted(classes)]
-    total = 1
-    for cl in ordered:
-        for i in range(2, len(cl) + 1):
-            total *= i
-        if total > perm_budget:
-            raise ValueError("color classes too symmetric for canonical form")
-    sig = tuple(sorted((len(cl), c) for c, cl in zip(sorted(classes), ordered)))
-    t = X.table
-    best = None
-    for perms in itertools.product(*[itertools.permutations(cl) for cl in ordered]):
-        relabel = [0] * n
-        idx = 0
-        for block in perms:
-            for old in block:
-                relabel[old] = idx
-                idx += 1
-        tab = [[None] * n for _ in range(n)]
-        for a in range(n):
-            ra = relabel[a]
-            for b in range(n):
-                p = t[a][b]
-                q = (relabel[p.lo], relabel[p.hi])
-                tab[ra][relabel[b]] = (min(q), max(q))
-        key = tuple(tuple(row) for row in tab)
-        if best is None or key < best:
-            best = key
-    return (sig, best)

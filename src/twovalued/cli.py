@@ -72,6 +72,8 @@ def group_from_json(text: str) -> TwoValuedGroup:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:

@@ -1,8 +1,10 @@
 """Exhaustive enumeration of small two-valued groups.
 
 enumerate_all fills the multiplication table cell by cell, depth first, and
-returns one group per isomorphism class.  The involutive commutative search
-prunes with three consequences of the axioms, so no class is lost:
+returns one group per isomorphism class.  Both searches keep the table in
+flat int lists and prune with one partial associativity check.  The
+involutive commutative search also prunes with three consequences of the
+axioms, so no class is lost:
 
 * exchange: z in x*y implies x in y*z (e is in z*z, which lies in
   (x*y)*z = x*(y*z); so e is in x*w for some w in y*z, and the inverse of x
@@ -15,20 +17,21 @@ prunes with three consequences of the axioms, so no class is lost:
   enough to search tables whose non-identity elements come in non-decreasing
   type.
 
-Completed tables pass verify_axioms and are deduplicated by their classify
-label.  The general search (any two-valued group) is the plain backtracking
-fill with partial associativity checks; it removes isomorphs with
-canonical_key.
+Completed tables pass verify_axioms.  The involutive commutative search
+keeps one per classify label.  The general search (any two-valued group)
+keeps a table only when witness_isomorphism finds no isomorphism to a
+table already kept, so it lists its classes in the order it finds them.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
 
-from .classify import canonical_key, classify
-from .core import Pair, TwoValuedGroup, verify_axioms
+from .classify import classify, witness_isomorphism
+from .core import TwoValuedGroup, verify_axioms
 
 __all__ = ["BudgetExceeded", "enumerate_all"]
 
@@ -81,21 +84,62 @@ def enumerate_all(
     return _enumerate_general(k, budget)
 
 
-def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
-    """The involutive commutative search; budget None is unlimited.
-
-    The table is kept in flat lists indexed by x*n + y: lo and hi hold the
-    pair x*y (-1 while unknown) and code holds its multiset code (0 while
-    unknown).  A pair [a, b] has code 256^a + 256^b, so a multiset of pairs
-    is the sum of their codes and multiset equality is integer equality.
-    Cells (i, j) with 1 <= i <= j are filled in row-major order.
-    """
-    names = tuple(["e"] + [f"x{i}" for i in range(1, n)])
+def _blank_table(n: int) -> tuple[list[int], list[int], list[int]]:
+    """An n x n table with row and column e filled, as flat lists lo, hi
+    and code indexed by x*n + y: lo and hi hold the pair x*y (-1 while
+    unknown) and code holds its multiset code (0 while unknown).  A pair
+    [a, b] has code 256^a + 256^b, so a multiset of pairs is the sum of
+    their codes and multiset equality is integer equality."""
     lo, hi, code = [-1] * (n * n), [-1] * (n * n), [0] * (n * n)
     for x in range(n):
         for c in (x, x * n):
             lo[c] = hi[c] = x
             code[c] = 2 << (8 * x)
+    return lo, hi, code
+
+
+def _group(n: int, lo: list[int], hi: list[int]) -> TwoValuedGroup:
+    """The completed table as a group on e, x1, x2, ..."""
+    names = ["e"] + [f"x{i}" for i in range(1, n)]
+    return TwoValuedGroup.from_arrays(names, np.reshape(lo, (n, n)), np.reshape(hi, (n, n)))
+
+
+def _checker(n: int, lo: list[int], hi: list[int], code: list[int]):
+    """consistent(eqs) for the table of _blank_table(n).  Each equation
+    (x*y)*z = x*(y*z) in eqs is given as (x*n + y, y*n + z, x*n, z), with
+    x*y and y*z known; consistent is true when every one holds, or is still
+    satisfiable where one side is known and the other half known."""
+    # guard bits for the per-byte >= test: counts stay below 0x80, so after
+    # (big | G) - small each byte keeps its guard bit iff big_byte >= small_byte
+    G = sum(0x80 << (8 * b) for b in range(n))
+
+    def consistent(eqs) -> bool:
+        for xy, yz, xr, z in eqs:
+            l1, l2 = code[lo[xy] * n + z], code[hi[xy] * n + z]
+            r1, r2 = code[xr + lo[yz]], code[xr + hi[yz]]
+            if l1 and l2:
+                if r1 and r2:
+                    if l1 + l2 != r1 + r2:
+                        return False
+                elif r1 or r2:
+                    if (((l1 + l2) | G) - (r1 or r2)) & G != G:
+                        return False
+            elif r1 and r2 and (l1 or l2):
+                if (((r1 + r2) | G) - (l1 or l2)) & G != G:
+                    return False
+        return True
+
+    return consistent
+
+
+def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
+    """The involutive commutative search; budget None is unlimited.
+
+    The table is that of _blank_table; cells (i, j) with 1 <= i <= j are
+    filled in row-major order, each with its mirror (j, i).
+    """
+    lo, hi, code = _blank_table(n)
+    consistent = _checker(n, lo, hi, code)
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     # pos[x*n + y] is the fill position of cell (x, y); row and column e
     # are known from the start
@@ -105,9 +149,6 @@ def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
     pair_of_code = {(1 << (8 * a)) + (1 << (8 * b)): (a, b) for a in range(n) for b in range(a, n)}
     diag_domain = [(0, w) for w in range(n)]
     offd_domain = [(a, b) for a in range(1, n) for b in range(a, n)]
-    # guard bits for the per-byte >= test: counts stay below 0x80, so after
-    # (big | G) - small each byte keeps its guard bit iff big_byte >= small_byte
-    G = sum(0x80 << (8 * b) for b in range(n))
 
     # Equations to check at cell (i, j): the identity-free triples (x, y, z)
     # with i or j in {x, z} -- each cell of an equation contains x or z --
@@ -125,24 +166,6 @@ def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
                         checks[ci].append((x * n + y, y * n + z, x * n, z))
                         if ci > ready:
                             settled[ci].append(checks[ci][-1])
-
-    def consistent(ci: int) -> bool:
-        """Every equation of cell ci is true, or still satisfiable where one
-        side is known and the other half known."""
-        for xy, yz, xr, z in checks[ci]:
-            l1, l2 = code[lo[xy] * n + z], code[hi[xy] * n + z]
-            r1, r2 = code[xr + lo[yz]], code[xr + hi[yz]]
-            if l1 and l2:
-                if r1 and r2:
-                    if l1 + l2 != r1 + r2:
-                        return False
-                elif r1 or r2:
-                    if (((l1 + l2) | G) - (r1 or r2)) & G != G:
-                        return False
-            elif r1 and r2 and (l1 or l2):
-                if (((r1 + r2) | G) - (l1 or l2)) & G != G:
-                    return False
-        return True
 
     def type_of(x: int, w: int) -> int:
         """The type of x when x*x = [e, w]."""
@@ -202,9 +225,7 @@ def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
     def place(ci: int):
         nonlocal nodes
         if ci == len(cells):
-            X = TwoValuedGroup.from_arrays(
-                names, np.array(lo).reshape(n, n), np.array(hi).reshape(n, n)
-            )
+            X = _group(n, lo, hi)
             rep = verify_axioms(X)
             if rep.is_two_valued_group and rep.is_commutative and rep.is_involutive:
                 found.setdefault(classify(X), X)
@@ -218,7 +239,7 @@ def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
             lo[ij] = lo[ji] = a
             hi[ij] = hi[ji] = b
             code[ij] = code[ji] = (1 << (8 * a)) + (1 << (8 * b))
-            if consistent(ci):
+            if consistent(checks[ci]):
                 place(ci + 1)
         lo[ij] = lo[ji] = hi[ij] = hi[ji] = -1
         code[ij] = code[ji] = 0
@@ -230,65 +251,29 @@ def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
 def _enumerate_general(n: int, budget: int | None) -> list[TwoValuedGroup]:
     """The general search; budget None is unlimited.
 
-    Depth-first fill of the off-identity cells in row-major order, with
-    partial associativity pruning after each cell and inverse uniqueness;
-    complete tables pass the full axiom sweep, and isomorphs are removed via
-    canonical_key.
+    The table is that of _blank_table; the off-identity cells are filled in
+    row-major order.  After each cell, the partial associativity check runs
+    on the triples that hold i or j, and no element may have two inverse
+    candidates.
     """
-    names = tuple(["e"] + [f"x{i}" for i in range(1, n)])
-    T: list[list[Pair | None]] = [[None] * n for _ in range(n)]
-    # parallel table of multiset codes, as in the involutive search
-    C: list[list[int | None]] = [[None] * n for _ in range(n)]
-
-    def code(p: Pair) -> int:
-        return (1 << (8 * p.lo)) + (1 << (8 * p.hi))
-
-    for x in range(n):
-        T[0][x] = T[x][0] = Pair(x, x)
-        C[0][x] = C[x][0] = code(Pair(x, x))
-
+    lo, hi, code = _blank_table(n)
+    consistent = _checker(n, lo, hi, code)
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    domain = [Pair.of(a, b) for a in range(n) for b in range(a, n)]
-    triples = [
-        (x, y, z) for x in range(1, n) for y in range(1, n) for z in range(1, n)
-    ]
-    per_cell = {
-        (i, j): [tr for tr in triples if i in tr or j in tr] for (i, j) in cells
-    }
-    H = sum(0x80 << (8 * b) for b in range(n))
+    pos = {i * n + j: ci for ci, (i, j) in enumerate(cells)}
+    domain = [(a, b) for a in range(n) for b in range(a, n)]
+    checks: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
+    for x, y, z in itertools.product(range(1, n), repeat=3):
+        for ci in range(max(pos[x * n + y], pos[y * n + z]), len(cells)):
+            if {x, y, z} & set(cells[ci]):
+                checks[ci].append((x * n + y, y * n + z, x * n, z))
 
-    def partial_ok(i: int, j: int) -> bool:
-        for (x, y, z) in per_cell[(i, j)]:
-            pxy = T[x][y]
-            pyz = T[y][z]
-            if pxy is None or pyz is None:
-                continue
-            l1, l2 = C[pxy.lo][z], C[pxy.hi][z]
-            r1, r2 = C[x][pyz.lo], C[x][pyz.hi]
-            if l1 is not None and l2 is not None:
-                if r1 is not None and r2 is not None:
-                    if l1 + l2 != r1 + r2:
-                        return False
-                else:
-                    half = r1 if r1 is not None else r2
-                    if half is not None:
-                        if (((l1 + l2) | H) - half) & H != H:
-                            return False
-            elif r1 is not None and r2 is not None:
-                half = l1 if l1 is not None else l2
-                if half is not None:
-                    if (((r1 + r2) | H) - half) & H != H:
-                        return False
-        # inverse uniqueness: no element may have two inverse candidates
-        for x in range(1, n):
-            cnt = 0
-            for y in range(n):
-                pa, pb = T[x][y], T[y][x]
-                if (pa is not None and 0 in pa) or (pb is not None and 0 in pb):
-                    cnt += 1
-            if cnt > 1:
-                return False
-        return True
+    def inverses_ok(i: int, j: int) -> bool:
+        """No element x has two candidate inverses y, with e in x*y or y*x;
+        only i and j can have gained one."""
+        return all(
+            sum(lo[x * n + y] == 0 or lo[y * n + x] == 0 for y in range(n)) <= 1
+            for x in (i, j)
+        )
 
     found: list[TwoValuedGroup] = []
     nodes = 0
@@ -296,24 +281,23 @@ def _enumerate_general(n: int, budget: int | None) -> list[TwoValuedGroup]:
     def place(ci: int):
         nonlocal nodes
         if ci == len(cells):
-            X = TwoValuedGroup(names=names, table=tuple(tuple(row) for row in T))
-            if verify_axioms(X).is_two_valued_group:
+            X = _group(n, lo, hi)
+            if verify_axioms(X).is_two_valued_group and all(
+                witness_isomorphism(X, R) is None for R in found
+            ):
                 found.append(X)
             return
         i, j = cells[ci]
-        for p in domain:
+        ij = i * n + j
+        for a, b in domain:
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(f"node budget {budget} exhausted")
-            T[i][j] = p
-            C[i][j] = code(p)
-            if partial_ok(i, j):
+            lo[ij], hi[ij], code[ij] = a, b, (1 << (8 * a)) + (1 << (8 * b))
+            if consistent(checks[ci]) and inverses_ok(i, j):
                 place(ci + 1)
-            T[i][j] = None
-            C[i][j] = None
+        lo[ij] = hi[ij] = -1
+        code[ij] = 0
 
     place(0)
-    seen_keys = {}
-    for X in found:
-        seen_keys.setdefault(canonical_key(X), X)
-    return [seen_keys[key] for key in sorted(seen_keys)]
+    return found

@@ -293,6 +293,10 @@ class TestEnumerateLibrary:
     def test_small_sizes_need_no_budget(self):
         assert [len(enumerate_all(k)) for k in range(1, 5)] == [1, 2, 2, 3]
 
+    def test_general_mode_class_counts(self):
+        counts = [len(enumerate_all(k, involutive_commutative=False)) for k in range(1, 5)]
+        assert counts == [1, 2, 4, 7]
+
     def test_general_search_contains_ic_groups(self):
         gs = enumerate_all(3, involutive_commutative=False)
         flags = [
@@ -412,6 +416,15 @@ def test_non_string_cell_entry_is_parse_error(tmp_path):
     proc = _cli_child("verify", str(path), stdout=subprocess.PIPE)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cell (0,0)")
+    assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_group_file_is_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    proc = _cli_child("verify", str(path), stdout=subprocess.PIPE)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
 
 

@@ -4,7 +4,8 @@ references.
 The references are the routines as they were written before these layers
 read the lo/hi arrays: the per-element power walk on the Pair view, the
 double loop of is_special, the mul-closure reconstruction of A from
-X = A/+-, and the per-cell loop of is_homomorphism, together with the loop
+X = A/+-, the per-cell loop of is_homomorphism and the per-row colour
+refinement of the witness search, together with the loop
 versions of the Boolean part, the squares, the C2 split and the cocycle
 extraction built on them.  Every acceptance-sweep label is checked with
 one seeded relabelling.  The mul closure checks every product of a
@@ -22,8 +23,11 @@ from test_acceptance import build, sweep_labels
 from twovalued.classify import (
     NonUniquePair,
     _chain_from_counts,
+    _initial_colors,
+    _refine,
     classify,
     reconstruct_abelian,
+    witness_isomorphism,
 )
 from twovalued.cocycle import (
     ExtractionData,
@@ -33,6 +37,7 @@ from twovalued.cocycle import (
 )
 from twovalued.constructions import FinAbelianGroup, double, principal, product_with_boolean
 from twovalued.core import AmbiguousPower, Pair, TwoValuedGroup, order, power, product
+from twovalued.enumeration import enumerate_all
 from twovalued.structure import (
     BooleanSubgroup,
     HomomorphismReport,
@@ -249,6 +254,40 @@ def reference_is_homomorphism(X: TwoValuedGroup, Z: TwoValuedGroup, f) -> Homomo
     return report
 
 
+def reference_colors(X: TwoValuedGroup) -> list[int]:
+    """The colour refinement of witness_isomorphism, one Pair row at a time,
+    with each round's keys ranked by sorting them."""
+    n = len(X)
+    t = X.table
+
+    def rank(keys):
+        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
+        return [ranks[k] for k in keys]
+
+    try:
+        ords = orders_of(reference_walk(X))
+    except AmbiguousPower:
+        ords = None
+    keys = []
+    for x, row in enumerate(t):
+        key = (x == 0, row[x].is_doubled, 0 in row[x], sum(p.is_doubled for p in row),
+               sum(0 in p for p in row), sum(x in p for p in row))
+        if ords is not None:
+            big = [o > 2 for o in ords]
+            key += (ords[x], sum(big[x] and big[y] and row[y].is_doubled for y in range(n)))
+        keys.append(key)
+    cols = rank(keys)
+    while True:
+        new = rank([
+            (cols[x], tuple(sorted((cols[y], tuple(sorted((cols[p.lo], cols[p.hi]))))
+                                   for y, p in enumerate(t[x]))))
+            for x in range(n)
+        ])
+        if new == cols:
+            return cols
+        cols = new
+
+
 # --- checks ------------------------------------------------------------------
 
 def relabel(X: TwoValuedGroup, seed: int) -> tuple[TwoValuedGroup, list[int]]:
@@ -395,6 +434,18 @@ def test_ambiguous_power_is_per_element():
         reference_power_sequence(X, 1)
 
 
+@pytest.mark.parametrize("seed", range(15))
+def test_colors_match_reference(seed):
+    rng = random.Random(seed)
+    if seed % 3 == 2:
+        X = random_involutive_table(rng.randrange(2, 12), rng)
+    else:
+        X, _ = relabel(build(*rng.choice(sweep_labels())), seed)
+        if seed % 3 == 1:
+            X = corrupted(X, rng.randrange(1, 4), rng, symmetric=seed % 2 == 0)
+    assert _refine(X, _initial_colors(X)).tolist() == reference_colors(X)
+
+
 def test_array_paths_never_build_the_pair_view():
     X = product_with_boolean(principal(2, 6), 1)
     assert "table" not in vars(X)
@@ -404,4 +455,7 @@ def test_array_paths_never_build_the_pair_view():
     u = next(x for x in range(1, len(X)) if order(X, x) == 2)
     branching_set(X, u)
     assert product(X, 1, 2) == Pair(int(X.lo[1, 2]), int(X.hi[1, 2]))
+    assert witness_isomorphism(X, X) is not None
     assert "table" not in vars(X)
+    for G in enumerate_all(3, involutive_commutative=False):
+        assert "table" not in vars(G)
