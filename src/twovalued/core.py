@@ -42,7 +42,7 @@ AXIOM_TAGS = (
 # the full sweep.
 MAX_WITNESSES_PER_TAG = 1000
 
-# Bytes per gathered (x, y, z) block of an n^3 sweep.  Blocks this small stay
+# Bytes per gathered (y, x, z) block of an n^3 sweep.  Blocks this small stay
 # in cache; the associativity sweep holds about 20 such arrays at a time.
 _SWEEP_BLOCK_BYTES = 1 << 17
 
@@ -283,12 +283,12 @@ def index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
-def x_blocks(n: int) -> list[slice]:
-    """Blocks of consecutive x for an n^3 sweep over index_dtype(n) tables:
-    one (x, y, z) gather of a block takes about _SWEEP_BLOCK_BYTES, and
-    every block holds at least one x."""
+def y_blocks(n: int) -> list[slice]:
+    """Blocks of consecutive middle elements y for an n^3 sweep over
+    index_dtype(n) tables: one (y, x, z) gather of a block takes about
+    _SWEEP_BLOCK_BYTES, and every block holds at least one y."""
     step = max(1, _SWEEP_BLOCK_BYTES // (n * n * index_dtype(n).itemsize))
-    return [slice(x0, min(n, x0 + step)) for x0 in range(0, n, step)]
+    return [slice(y0, min(n, y0 + step)) for y0 in range(0, n, step)]
 
 
 def _merge_pairs(a, b, c, d) -> tuple[np.ndarray, ...]:
@@ -305,44 +305,62 @@ def _merge_pairs(a, b, c, d) -> tuple[np.ndarray, ...]:
     )
 
 
+def _products_by(lo, hi, lab, hab) -> tuple[np.ndarray, ...]:
+    """The sorted multisets a*z + b*z over all z, for the pairs [a, b] of
+    the index arrays lab <= hab: one row gather of lo and hi per element of
+    the pair, merged."""
+    return _merge_pairs(
+        np.take(lo, lab, axis=0),
+        np.take(hi, lab, axis=0),
+        np.take(lo, hab, axis=0),
+        np.take(hi, hab, axis=0),
+    )
+
+
 def _associativity_violations(
-    lo: np.ndarray, hi: np.ndarray
+    lo: np.ndarray, hi: np.ndarray, commutative: bool
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """The number of triples (x, y, z) with (x*y)*z != x*(y*z) as
     4-element multisets, and the lexicographically first
-    MAX_WITNESSES_PER_TAG of them.
+    MAX_WITNESSES_PER_TAG of them.  commutative says lo and hi are
+    symmetric.
 
-    The sweep runs over x_blocks, so the witnesses come out in global
-    (x, y, z) order.
+    The sweep runs over y_blocks.  Each block gathers whole rows only:
+    left[y, x, z] = (x*y)*z from the rows of the pair x*y, and
+    right[y, z, x] = x*(y*z) from the rows of the pair y*z in the
+    transposed tables.  On a commutative table x*(y*z) = (z*y)*x, so right
+    is left itself and costs nothing.  Both are compared through
+    right.transpose(0, 2, 1), every triple once.
+
+    Blocks run in increasing y, so a triple of a later block precedes a
+    kept witness only if its x is smaller: once MAX_WITNESSES_PER_TAG are
+    kept, only the rows x below the last one are read for witnesses.
     """
+    n = len(lo)
     total = 0
-    witnesses: list[tuple[int, int, int]] = []
-    for xs in x_blocks(len(lo)):
-        lxy = lo[xs]
-        hxy = hi[xs]
-        # (x*y)*z: the pairs a*z for a in x*y, rows of the table
-        left = _merge_pairs(
-            np.take(lo, lxy, axis=0),
-            np.take(hi, lxy, axis=0),
-            np.take(lo, hxy, axis=0),
-            np.take(hi, hxy, axis=0),
-        )
-        # x*(y*z): the pairs x*b for b in y*z
-        right = _merge_pairs(
-            np.take(lxy, lo, axis=1),
-            np.take(hxy, lo, axis=1),
-            np.take(lxy, hi, axis=1),
-            np.take(hxy, hi, axis=1),
-        )
-        bad = left[0] != right[0]
+    kept = np.empty(0, np.int64)  # witnesses as sorted keys (x*n + y)*n + z
+    lo_t, hi_t = (lo, hi) if commutative else (lo.T.copy(), hi.T.copy())
+    for ys in y_blocks(n):
+        left = _products_by(lo, hi, lo[:, ys].T, hi[:, ys].T)
+        right = left if commutative else _products_by(lo_t, hi_t, lo[ys], hi[ys])
+        bad = left[0] != right[0].transpose(0, 2, 1)
         for a, b in zip(left[1:], right[1:]):
-            bad |= a != b
+            bad |= a != b.transpose(0, 2, 1)
         k = int(np.count_nonzero(bad))
         total += k
-        if k and len(witnesses) < MAX_WITNESSES_PER_TAG:
-            for x, y, z in np.argwhere(bad)[: MAX_WITNESSES_PER_TAG - len(witnesses)]:
-                witnesses.append((xs.start + int(x), int(y), int(z)))
-    return total, witnesses
+        rows = n if len(kept) < MAX_WITNESSES_PER_TAG else int(kept[-1]) // (n * n)
+        if not (k and rows):
+            continue
+        by_x = bad.transpose(1, 0, 2)[:rows]
+        if k > MAX_WITNESSES_PER_TAG:
+            # the fewest rows that hold MAX_WITNESSES_PER_TAG of the triples
+            per_x = np.cumsum(np.count_nonzero(by_x, axis=(1, 2)))
+            by_x = by_x[: np.searchsorted(per_x, MAX_WITNESSES_PER_TAG) + 1]
+        x, y, z = np.nonzero(by_x)
+        found = (x.astype(np.int64) * n + (ys.start + y)) * n + z
+        kept = np.sort(np.concatenate([kept, found[:MAX_WITNESSES_PER_TAG]]))
+        kept = kept[:MAX_WITNESSES_PER_TAG]
+    return total, [(key // (n * n), key // n % n, key % n) for key in kept.tolist()]
 
 
 @dataclass
@@ -379,32 +397,35 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     single element x' with e contained in both x*x' and x'*x.  Commutativity
     and involutivity (e in x*x for every x) are reported as flags.
 
-    Associativity is done with vectorized gathers on index_dtype tables, in
-    blocks of x so memory stays bounded for large tables; each side of a
-    triple is two sorted pairs, merged with three compare-exchanges.
-    Violations are collected, not raised.
+    Every check reads the lo/hi arrays whole.  Associativity is swept in
+    blocks of the middle element y (see _associativity_violations), so
+    memory stays bounded for large tables: each side of a triple is two
+    sorted pairs gathered as whole rows and merged with three
+    compare-exchanges, and on a commutative table the right side is the
+    left side transposed.  Violations are collected, not raised; each tag
+    keeps its first MAX_WITNESSES_PER_TAG witnesses in the order below.
     """
     n = len(X)
     e = X.identity
     lo, hi = X.lo, X.hi
+    every = np.arange(n)
     violations: list[tuple[str, tuple[int, ...]]] = []
     counts = {tag: 0 for tag in AXIOM_TAGS}
 
-    def record(tag: str, witness: tuple[int, ...]):
-        counts[tag] += 1
-        if counts[tag] <= MAX_WITNESSES_PER_TAG:
-            violations.append((tag, witness))
-
-    # strong identity
-    for x in range(n):
-        if not (lo[e, x] == x and hi[e, x] == x):
-            record("strong_identity", (e, x))
-        if x != e and not (lo[x, e] == x and hi[x, e] == x):
-            record("strong_identity", (x, e))
+    # strong identity: for each x, e*x and then x*e must be [x, x]
+    unit = np.stack(
+        [(lo[e] != every) | (hi[e] != every), (lo[:, e] != every) | (hi[:, e] != every)],
+        axis=1,
+    )
+    unit[e, 1] = False  # e*e is one cell
+    counts["strong_identity"] = int(np.count_nonzero(unit))
+    violations += [
+        ("strong_identity", (x, e) if x_first else (e, x))
+        for x, x_first in np.argwhere(unit)[:MAX_WITNESSES_PER_TAG].tolist()
+    ]
 
     # commutativity (flag only)
-    comm_mismatch = (lo != lo.T) | (hi != hi.T)
-    is_commutative = not comm_mismatch.any()
+    is_commutative = bool(np.array_equal(lo, lo.T) and np.array_equal(hi, hi.T))
 
     # involutivity (flag only): e in x*x for all x
     diag_lo = lo.diagonal()
@@ -412,23 +433,26 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     is_involutive = bool(np.all((diag_lo == e) | (diag_hi == e)))
 
     # associativity
-    counts["associativity"], witnesses = _associativity_violations(lo, hi)
+    counts["associativity"], witnesses = _associativity_violations(lo, hi, is_commutative)
     violations += [("associativity", w) for w in witnesses]
 
     # inverse axiom: C_x = {y : e in x*y or e in y*x} must be exactly one
     # element, with e in both x*y and y*x for that element.
     e_in_xy = (lo == e) | (hi == e)  # [x, y] -> e in x*y
     cand = e_in_xy | e_in_xy.T  # e in x*y or y*x
-    for x in range(n):
-        ys = np.nonzero(cand[x])[0]
-        if len(ys) == 0:
-            record("inverse_existence", (x,))
-        elif len(ys) > 1:
-            record("inverse_uniqueness", (x, *map(int, ys)))
+    size = np.count_nonzero(cand, axis=1)
+    y = cand.argmax(axis=1)  # the only y of C_x where size is 1
+    missing = (size == 0) | ((size == 1) & ~(e_in_xy[every, y] & e_in_xy[y, every]))
+    many = size > 1
+    counts["inverse_existence"] = int(np.count_nonzero(missing))
+    counts["inverse_uniqueness"] = int(np.count_nonzero(many))
+    keep = ((missing & (np.cumsum(missing) <= MAX_WITNESSES_PER_TAG))
+            | (many & (np.cumsum(many) <= MAX_WITNESSES_PER_TAG)))
+    for x in keep.nonzero()[0].tolist():
+        if many[x]:
+            violations.append(("inverse_uniqueness", (x, *cand[x].nonzero()[0].tolist())))
         else:
-            y = int(ys[0])
-            if not (e_in_xy[x, y] and e_in_xy[y, x]):
-                record("inverse_existence", (x, y))
+            violations.append(("inverse_existence", (x, int(y[x])) if size[x] else (x,)))
 
     return ValidationReport(
         size=n,

@@ -4,12 +4,15 @@ The reference is the sweep verify_axioms used before the merge network:
 int32 tables, chunks of z holding about 4M cells, and both sides of every
 triple sorted with ndarray.sort on a length-4 axis.  It records every
 violating triple, so the tests compare the true count and the
-lexicographically first witnesses.
+lexicographically first witnesses.  The strong-identity and inverse
+records are compared with the per-element loops verify_axioms used before
+they were vectorized.
 """
 
 import numpy as np
 import pytest
 
+from twovalued import core
 from twovalued.constructions import principal, product_with_boolean, special_series
 from twovalued.core import (
     MAX_WITNESSES_PER_TAG,
@@ -114,3 +117,141 @@ def test_random_table_keeps_lexicographically_first_witnesses():
     first = keys[:MAX_WITNESSES_PER_TAG]
     assert not np.array_equal(first, np.sort(keys)[:MAX_WITNESSES_PER_TAG])
     assert rep.violations_for("associativity") == first_triples(keys, 200)
+
+
+# The non-commutative path: the right side is gathered from the transposed
+# tables instead of being the left side itself.
+
+
+def doubled_dihedral(m: int) -> TwoValuedGroup:
+    """The dihedral group of order 2m as a two-valued group x*y = [xy, xy]:
+    element i + m*j stands for r^i s^j, and (r^a s^b)(r^c s^d) is
+    r^(a + (-1)^b c) s^(b + d)."""
+    n = 2 * m
+    i, j = np.arange(n) % m, np.arange(n) // m
+    a, b, c, d = i[:, None], j[:, None], i[None, :], j[None, :]
+    prod = (a + np.where(b == 1, -c, c)) % m + m * ((b + d) % 2)
+    return TwoValuedGroup.from_arrays(tuple(map(str, range(n))), prod, prod)
+
+
+def corrupted_one_sided(X: TwoValuedGroup, cells: int, seed: int) -> TwoValuedGroup:
+    """X with `cells` cells (i, j), i != j, off the identity row and column
+    overwritten by random pairs that differ from the mirror cell (j, i),
+    which is left as it is."""
+    rng = np.random.default_rng(seed)
+    n = len(X)
+    lo, hi = X.lo.astype(np.int64), X.hi.astype(np.int64)
+    done = 0
+    while done < cells:
+        i, j = (int(v) for v in rng.integers(1, n, size=2))
+        a, b = sorted(int(v) for v in rng.integers(0, n, size=2))
+        if i != j and (a, b) != (lo[j, i], hi[j, i]):
+            lo[i, j], hi[i, j] = a, b
+            done += 1
+    return TwoValuedGroup.from_arrays(X.names, lo, hi)
+
+
+def random_table(n: int, seed: int, unit: bool = False) -> TwoValuedGroup:
+    """A random table with sorted cells; with unit, e*x = x*e = [x, x]."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.sort(rng.integers(0, n, size=(2, n, n)), axis=0)
+    if unit:
+        lo[0, :] = hi[0, :] = lo[:, 0] = hi[:, 0] = np.arange(n)
+    return TwoValuedGroup.from_arrays(tuple(map(str, range(n))), lo, hi)
+
+
+@pytest.mark.parametrize("m", [60, 128])
+def test_doubled_dihedral_group_is_valid_and_not_commutative(m):
+    X = doubled_dihedral(m)
+    rep = verify_axioms(X)
+    assert len(X) == 2 * m
+    assert rep.is_two_valued_group and rep.violations == []
+    assert not rep.is_commutative
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: principal(58),
+        lambda: product_with_boolean(principal(2, 2, 2, 2, 2, 2), 2),
+        lambda: special_series(8),
+    ],
+    ids=["principal58", "boolean256", "special257"],
+)
+def test_one_sided_corruptions_match_sort_reference(build):
+    Y = corrupted_one_sided(build(), 3, seed=2)
+    assert not verify_axioms(Y).is_commutative
+    assert_matches_reference(Y)
+
+
+def test_random_non_symmetric_table_keeps_first_witnesses_across_blocks():
+    # the first witnesses in (x, y, z) order come from several blocks of y,
+    # and later blocks must be merged in front of witnesses already kept
+    # from larger x
+    n = 200
+    assert core.y_blocks(n)[0] == slice(0, 3)  # three y per block at uint8
+    X = random_table(n, seed=4)
+    rep = verify_axioms(X)
+    assert not rep.is_commutative
+    keys = reference_violations(X)
+    assert len(keys) > MAX_WITNESSES_PER_TAG
+    assert rep.counts["associativity"] == len(keys)
+    witnesses = rep.violations_for("associativity")
+    assert witnesses == first_triples(keys, n)
+    assert len({y // 3 for _, y, _ in witnesses}) > 1
+
+
+def reference_identity_and_inverse(X: TwoValuedGroup, cap: int):
+    """The strong-identity and inverse-axiom records of verify_axioms, by
+    the per-element loops it used before they were vectorized."""
+    n, e = len(X), X.identity
+    lo, hi = X.lo, X.hi
+    counts = {"strong_identity": 0, "inverse_existence": 0, "inverse_uniqueness": 0}
+    first, last = [], []
+
+    def record(out, tag, witness):
+        counts[tag] += 1
+        if counts[tag] <= cap:
+            out.append((tag, witness))
+
+    for x in range(n):
+        if not (lo[e, x] == x and hi[e, x] == x):
+            record(first, "strong_identity", (e, x))
+        if x != e and not (lo[x, e] == x and hi[x, e] == x):
+            record(first, "strong_identity", (x, e))
+    e_in_xy = (lo == e) | (hi == e)
+    cand = e_in_xy | e_in_xy.T
+    for x in range(n):
+        ys = np.nonzero(cand[x])[0]
+        if len(ys) == 0:
+            record(last, "inverse_existence", (x,))
+        elif len(ys) > 1:
+            record(last, "inverse_uniqueness", (x, *map(int, ys)))
+        elif not (e_in_xy[x, ys[0]] and e_in_xy[ys[0], x]):
+            record(last, "inverse_existence", (x, int(ys[0])))
+    return counts, first, last
+
+
+IDENTITY_AND_INVERSE_CASES = {
+    "random": lambda: random_table(45, seed=5),
+    "random_unit": lambda: random_table(52, seed=6, unit=True),
+    "random_symmetric": lambda: random_symmetric(47, seed=7),
+    "special33_one_sided": lambda: corrupted_one_sided(special_series(5), 12, seed=8),
+}
+
+
+@pytest.mark.parametrize("cap", [3, MAX_WITNESSES_PER_TAG])
+@pytest.mark.parametrize("case", IDENTITY_AND_INVERSE_CASES)
+def test_identity_and_inverse_records_match_loop_reference(monkeypatch, cap, case):
+    # a small cap also drives the witness merge of the associativity sweep
+    # through its branch for a full witness list
+    monkeypatch.setattr(core, "MAX_WITNESSES_PER_TAG", cap)
+    X = IDENTITY_AND_INVERSE_CASES[case]()
+    rep = verify_axioms(X)
+    counts, first, last = reference_identity_and_inverse(X, cap)
+    assert {tag: rep.counts[tag] for tag in counts} == counts
+    sweep = [v for v in rep.violations if v[0] == "associativity"]
+    assert rep.violations == first + sweep + last
+    keys = reference_violations(X)
+    assert rep.counts["associativity"] == len(keys)
+    assert [w for _, w in sweep] == first_triples(keys, len(X))[:cap]
