@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, repeat
+from math import isqrt
 from operator import index, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -42,9 +43,13 @@ AXIOM_TAGS = (
 # the full sweep.
 MAX_WITNESSES_PER_TAG = 1000
 
-# Bytes per gathered (y, x, z) block of an n^3 sweep.  Blocks this small stay
-# in cache; the associativity sweep holds about 20 such arrays at a time.
+# Bytes per (y, x, z) block of 8-byte codes in an n^3 sweep: small enough to
+# stay in cache, as the associativity sweep reuses three such blocks.
 _SWEEP_BLOCK_BYTES = 1 << 17
+
+# The largest prime q with 4q <= 2^16, so that a sum of four power-sum codes
+# does not carry out of a 16-bit field: the associativity sweep's size limit.
+_MAX_CODED_ELEMENTS = 16_381
 
 
 class Pair(NamedTuple):
@@ -284,37 +289,32 @@ def index_dtype(n: int) -> np.dtype:
 
 
 def y_blocks(n: int) -> list[slice]:
-    """Blocks of consecutive middle elements y for an n^3 sweep over
-    index_dtype(n) tables: one (y, x, z) gather of a block takes about
-    _SWEEP_BLOCK_BYTES, and every block holds at least one y."""
-    step = max(1, _SWEEP_BLOCK_BYTES // (n * n * index_dtype(n).itemsize))
+    """Blocks of consecutive middle elements y for an n^3 sweep over 8-byte
+    codes: one (y, x, z) block of codes takes about _SWEEP_BLOCK_BYTES, and
+    every block holds at least one y."""
+    step = max(1, _SWEEP_BLOCK_BYTES // (n * n * 8))
     return [slice(y0, min(n, y0 + step)) for y0 in range(0, n, step)]
 
 
-def _merge_pairs(a, b, c, d) -> tuple[np.ndarray, ...]:
-    """The sorted multiset {a, b, c, d} of two sorted pairs a <= b, c <= d,
-    by Batcher's odd-even merge: min and max of the lows and of the highs,
-    then one compare-exchange of the two middle values."""
-    mid_lo = np.maximum(a, c)
-    mid_hi = np.minimum(b, d)
-    return (
-        np.minimum(a, c),
-        np.minimum(mid_lo, mid_hi),
-        np.maximum(mid_lo, mid_hi),
-        np.maximum(b, d),
-    )
+def _power_sum_codes(n: int) -> np.ndarray:
+    """uint64 codes of the elements 0..n-1 whose sums over 4-element
+    multisets are equal only for equal multisets: v, v^2, v^3 and v^4 mod
+    the least prime q >= max(n, 5), in four 16-bit fields.
 
-
-def _products_by(lo, hi, lab, hab) -> tuple[np.ndarray, ...]:
-    """The sorted multisets a*z + b*z over all z, for the pairs [a, b] of
-    the index arrays lab <= hab: one row gather of lo and hi per element of
-    the pair, merged."""
-    return _merge_pairs(
-        np.take(lo, lab, axis=0),
-        np.take(hi, lab, axis=0),
-        np.take(lo, hab, axis=0),
-        np.take(hi, hab, axis=0),
-    )
+    Equal sums fix the power sums p1..p4 mod q.  As q > 4, Newton's
+    identities turn them into the elementary symmetric functions, whose
+    polynomial over F_q has the multiset as its roots.  A sum of four codes
+    stays below 4q <= 2^16 in each field, so no field carries into the
+    next.  Past _MAX_CODED_ELEMENTS raises MemoryError before allocating
+    anything."""
+    if n > _MAX_CODED_ELEMENTS:
+        raise MemoryError(f"the associativity sweep handles at most "
+                          f"{_MAX_CODED_ELEMENTS:,} elements, not {n}")
+    q = max(n, 5)
+    while any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        q += 1
+    v = np.arange(n, dtype=np.uint64)
+    return v | (v**2 % q) << 16 | (v**3 % q) << 32 | (v**4 % q) << 48
 
 
 def _associativity_violations(
@@ -325,11 +325,14 @@ def _associativity_violations(
     MAX_WITNESSES_PER_TAG of them.  commutative says lo and hi are
     symmetric.
 
-    The sweep runs over y_blocks.  Each block gathers whole rows only:
+    A multiset is compared by its sum of _power_sum_codes: pair[a, b] is
+    the code sum of a*b, and each side of a triple is the sum of two
+    pair codes, so one uint64 compare decides the triple.  The sweep runs
+    over y_blocks.  Each block gathers whole rows only:
     left[y, x, z] = (x*y)*z from the rows of the pair x*y, and
-    right[y, z, x] = x*(y*z) from the rows of the pair y*z in the
-    transposed tables.  On a commutative table x*(y*z) = (z*y)*x, so right
-    is left itself and costs nothing.  Both are compared through
+    right[y, z, x] = x*(y*z) from the rows of the pair y*z in pair
+    transposed.  On a commutative table x*(y*z) = (z*y)*x, so right is
+    left itself and costs nothing.  Both are compared through
     right.transpose(0, 2, 1), every triple once.
 
     Blocks run in increasing y, so a triple of a later block precedes a
@@ -339,13 +342,26 @@ def _associativity_violations(
     n = len(lo)
     total = 0
     kept = np.empty(0, np.int64)  # witnesses as sorted keys (x*n + y)*n + z
-    lo_t, hi_t = (lo, hi) if commutative else (lo.T.copy(), hi.T.copy())
-    for ys in y_blocks(n):
-        left = _products_by(lo, hi, lo[:, ys].T, hi[:, ys].T)
-        right = left if commutative else _products_by(lo_t, hi_t, lo[ys], hi[ys])
-        bad = left[0] != right[0].transpose(0, 2, 1)
-        for a, b in zip(left[1:], right[1:]):
-            bad |= a != b.transpose(0, 2, 1)
+    code = _power_sum_codes(n)
+    pair = code[lo] + code[hi]
+    pair_t = pair if commutative else pair.T.copy()
+    blocks = y_blocks(n)
+    # One buffer per array, reused by every block: fresh n^2 arrays per y
+    # page-fault at large n.  take fills out= unbuffered only in a mode other
+    # than "raise"; the indices are in range, so "clip" changes nothing.
+    left_buf = np.empty((blocks[0].stop, n, n), np.uint64)
+    part_buf = np.empty_like(left_buf)
+    right_buf = left_buf if commutative else np.empty_like(left_buf)
+    bad_buf = np.empty(left_buf.shape, bool)
+    for ys in blocks:
+        m = ys.stop - ys.start
+        left, part, right, bad = left_buf[:m], part_buf[:m], right_buf[:m], bad_buf[:m]
+        np.take(pair, lo[:, ys].T, 0, out=left, mode="clip")
+        left += np.take(pair, hi[:, ys].T, 0, out=part, mode="clip")
+        if not commutative:
+            np.take(pair_t, lo[ys], 0, out=right, mode="clip")
+            right += np.take(pair_t, hi[ys], 0, out=part, mode="clip")
+        np.not_equal(left, right.transpose(0, 2, 1), out=bad)
         k = int(np.count_nonzero(bad))
         total += k
         rows = n if len(kept) < MAX_WITNESSES_PER_TAG else int(kept[-1]) // (n * n)
@@ -399,11 +415,12 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
 
     Every check reads the lo/hi arrays whole.  Associativity is swept in
     blocks of the middle element y (see _associativity_violations), so
-    memory stays bounded for large tables: each side of a triple is two
-    sorted pairs gathered as whole rows and merged with three
-    compare-exchanges, and on a commutative table the right side is the
-    left side transposed.  Violations are collected, not raised; each tag
-    keeps its first MAX_WITNESSES_PER_TAG witnesses in the order below.
+    memory stays bounded for large tables: each side of a triple is one
+    uint64 sum of two pair codes gathered as whole rows, equal exactly when
+    the multisets are, and on a commutative table the right side is the
+    left side transposed.  Tables of more than 16,381 elements raise
+    MemoryError.  Violations are collected, not raised; each tag keeps its
+    first MAX_WITNESSES_PER_TAG witnesses in the order below.
     """
     n = len(X)
     e = X.identity

@@ -1,4 +1,4 @@
-"""The merge-network associativity sweep against a sort-based reference.
+"""The power-sum-code associativity sweep against a sort-based reference.
 
 The reference is the sweep verify_axioms used before the merge network:
 int32 tables, chunks of z holding about 4M cells, and both sides of every
@@ -6,8 +6,12 @@ triple sorted with ndarray.sort on a length-4 axis.  It records every
 violating triple, so the tests compare the true count and the
 lexicographically first witnesses.  The strong-identity and inverse
 records are compared with the per-element loops verify_axioms used before
-they were vectorized.
+they were vectorized.  The codes themselves are checked for injectivity on
+small sizes and for carry-free fields at the largest size.
 """
+
+from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 import pytest
@@ -189,7 +193,8 @@ def test_random_non_symmetric_table_keeps_first_witnesses_across_blocks():
     # and later blocks must be merged in front of witnesses already kept
     # from larger x
     n = 200
-    assert core.y_blocks(n)[0] == slice(0, 3)  # three y per block at uint8
+    step = core.y_blocks(n)[0].stop  # y per block
+    assert step < n
     X = random_table(n, seed=4)
     rep = verify_axioms(X)
     assert not rep.is_commutative
@@ -198,7 +203,7 @@ def test_random_non_symmetric_table_keeps_first_witnesses_across_blocks():
     assert rep.counts["associativity"] == len(keys)
     witnesses = rep.violations_for("associativity")
     assert witnesses == first_triples(keys, n)
-    assert len({y // 3 for _, y, _ in witnesses}) > 1
+    assert len({y // step for _, y, _ in witnesses}) > 1
 
 
 def reference_identity_and_inverse(X: TwoValuedGroup, cap: int):
@@ -255,3 +260,34 @@ def test_identity_and_inverse_records_match_loop_reference(monkeypatch, cap, cas
     keys = reference_violations(X)
     assert rep.counts["associativity"] == len(keys)
     assert [w for _, w in sweep] == first_triples(keys, len(X))[:cap]
+
+
+# The power-sum codes: one uint64 sum stands for a 4-element multiset.
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_code_sums_are_injective_on_four_element_multisets(n):
+    code = core._power_sum_codes(n).tolist()
+    sums = {sum(code[v] for v in m) for m in combinations_with_replacement(range(n), 4)}
+    assert len(sums) == comb(n + 3, 4)
+
+
+def test_code_sums_do_not_carry_at_the_largest_size():
+    code = core._power_sum_codes(16_381)
+    for shift in (0, 16, 32, 48):
+        field = (code >> np.uint64(shift)) & np.uint64(0xFFFF)
+        assert 4 * int(field.max()) < 1 << 16
+
+
+def test_codes_past_the_largest_size_raise_memory_error():
+    with pytest.raises(MemoryError, match="16,381"):
+        core._power_sum_codes(16_382)
+
+
+@pytest.mark.parametrize("n", [5, 61, 255, 256, 257])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non_symmetric"])
+def test_random_tables_match_sort_reference(n, symmetric):
+    # 256 is the last uint8 size and 257 the first uint16 size
+    X = random_symmetric(n, seed=n) if symmetric else random_table(n, seed=n)
+    assert verify_axioms(X).is_commutative == symmetric
+    assert_matches_reference(X)
