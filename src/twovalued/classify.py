@@ -35,7 +35,7 @@ from .constructions import (
     special_series,
     unipotent,
 )
-from .core import AmbiguousPower, TwoValuedGroup, _element, _orders, index_dtype
+from .core import AmbiguousPower, TwoValuedGroup, _element, _generating_set, _orders, index_dtype
 from .cocycle import cohomology_invariant, extract_quasicocycle
 from .structure import _mismatches, is_special, split_direct_factor
 
@@ -258,20 +258,8 @@ def _table_chain(t: np.ndarray) -> tuple[int, ...]:
     if not np.array_equal(t, t.T):
         raise NotAbelian("multiplication is not commutative")
     # Light's test: the g with (xg)y = x(gy) for all x, y are closed under
-    # products, so checking g in a generating set S covers every g.  S is
-    # picked greedily: the first element not yet reached from e by right
-    # multiplication by S joins S.
-    reached = every == 0
-    gens = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        new = reached.copy()
-        while new.any():
-            hit = np.zeros(n, dtype=bool)
-            hit[t[np.ix_(new, gens)]] = True
-            new = hit & ~reached
-            reached |= new
-    for g in gens:
+    # products, so checking g in a generating set covers every g
+    for g in _generating_set(t, t):
         bad = t[t[:, g]] != t[:, t[g]]
         if bad.any():
             x, y = map(int, np.argwhere(bad)[0])

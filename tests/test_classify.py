@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import twovalued
-from twovalued.core import verify_axioms
+from twovalued.core import _generating_set, verify_axioms
 from twovalued.constructions import (
     FinAbelianGroup,
     double,
@@ -259,6 +260,28 @@ class TestReconstruction:
         assert all(sorted(row) == list(range(n)) for row in t)
         with pytest.raises(NotAssociative):
             invariant_factors(GroupTable(table=tuple(map(tuple, t))))
+
+    def test_table_that_fails_only_at_a_later_generator(self):
+        # t'(x, y) = x + y + f(x + H, y + H) for H = <1> and f nonzero on
+        # one pair of cosets only: 1 passes Light's test, the second
+        # generator 8 does not.  Generators and message are those of the
+        # greedy right-multiplication closure this test used before.
+        t = np.array(reconstruct_abelian(principal(4, 8)).table.table)
+        H = [0]
+        while t[H[-1], 1] != 0:
+            H.append(int(t[H[-1], 1]))
+        coset = np.full(len(t), -1)
+        for x in range(len(t)):
+            if coset[x] < 0:
+                coset[t[x, H]] = x
+        assert sorted(set(coset.tolist())) == [0, 8, 9, 24]
+        u = t.copy()
+        for p, q in ((8, 9), (9, 8)):
+            cells = np.ix_(coset == p, coset == q)
+            u[cells] = t[t[cells], 1]
+        assert _generating_set(t, t) == _generating_set(u, u) == [1, 8]
+        with pytest.raises(NotAssociative, match=r"^first failing triple: \(8, 8, 9\)$"):
+            invariant_factors(GroupTable(table=tuple(map(tuple, u.tolist()))))
 
     def test_table_is_group_with_doubling_pairs(self):
         X = principal(5)

@@ -2,14 +2,18 @@
 
 The reference is the sweep verify_axioms used before the merge network:
 int32 tables, chunks of z holding about 4M cells, and both sides of every
-triple sorted with ndarray.sort on a length-4 axis.  It records every
-violating triple, so the tests compare the true count and the
-lexicographically first witnesses.  The strong-identity and inverse
-records are compared with the per-element loops verify_axioms used before
-they were vectorized.  The codes themselves are checked for injectivity on
-small sizes and for carry-free fields at the largest size.
+triple sorted with ndarray.sort on a length-4 axis.  It counts every
+violating triple and keeps the first ones of each chunk, so the tests
+compare the true count and the lexicographically first witnesses.  The
+strong-identity and inverse records are compared with the per-element
+loops verify_axioms used before they were vectorized.  The codes
+themselves are checked for injectivity on small sizes and for carry-free
+fields at the largest size.  Light's test on a generating set is checked
+against the sweep: it must accept exactly the tables the sweep finds
+associative.
 """
 
+import os
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -17,6 +21,7 @@ import numpy as np
 import pytest
 
 from twovalued import core
+from twovalued.classify import all_labels_of_size, realize
 from twovalued.constructions import principal, product_with_boolean, special_series
 from twovalued.core import (
     MAX_WITNESSES_PER_TAG,
@@ -27,15 +32,17 @@ from twovalued.core import (
 )
 
 
-def reference_violations(X: TwoValuedGroup) -> np.ndarray:
-    """All triples (x, y, z) with (x*y)*z != x*(y*z), as keys
-    (x*n + y)*n + z in the order the sweep finds them.  Key order is
-    lexicographic (x, y, z) order."""
+def reference_violations(X: TwoValuedGroup) -> tuple[int, np.ndarray]:
+    """The number of triples (x, y, z) with (x*y)*z != x*(y*z), and the
+    first MAX_WITNESSES_PER_TAG of them in each chunk of z as keys
+    (x*n + y)*n + z, in the order the sweep finds them: chunk by chunk, and
+    in lexicographic (x, y, z) order within a chunk.  The first
+    MAX_WITNESSES_PER_TAG triples overall are among the keys."""
     n = len(X)
     lo = np.array([[p.lo for p in row] for row in X.table], dtype=np.int32)
     hi = np.array([[p.hi for p in row] for row in X.table], dtype=np.int32)
     chunk = max(1, 4_000_000 // (n * n))
-    keys = []
+    count, keys = 0, []
     for z0 in range(0, n, chunk):
         z1 = min(n, z0 + chunk)
         lhs = np.stack(
@@ -46,9 +53,13 @@ def reference_violations(X: TwoValuedGroup) -> np.ndarray:
         hyz = hi[:, z0:z1]
         rhs = np.stack([lo[:, lyz], lo[:, hyz], hi[:, lyz], hi[:, hyz]], axis=-1)
         rhs.sort(axis=-1)
-        x, y, dz = np.nonzero((lhs != rhs).any(axis=-1))
+        bad = (lhs != rhs).any(axis=-1)
+        del lhs, rhs
+        count += int(np.count_nonzero(bad))
+        first = np.flatnonzero(bad)[:MAX_WITNESSES_PER_TAG]
+        x, y, dz = np.unravel_index(first, bad.shape)
         keys.append((x.astype(np.int64) * n + y) * n + z0 + dz)
-    return np.concatenate(keys)
+    return count, np.concatenate(keys)
 
 
 def first_triples(keys: np.ndarray, n: int) -> list[tuple[int, int, int]]:
@@ -85,9 +96,9 @@ def random_symmetric(n: int, seed: int) -> TwoValuedGroup:
 
 def assert_matches_reference(X: TwoValuedGroup):
     rep = verify_axioms(X)
-    keys = reference_violations(X)
-    assert len(keys) > 0
-    assert rep.counts["associativity"] == len(keys)
+    count, keys = reference_violations(X)
+    assert count > 0
+    assert rep.counts["associativity"] == count
     assert rep.violations_for("associativity") == first_triples(keys, len(X))
 
 
@@ -114,9 +125,9 @@ def test_random_table_keeps_lexicographically_first_witnesses():
     # be the first MAX_WITNESSES_PER_TAG triples in (x, y, z) order
     X = random_symmetric(200, seed=3)
     rep = verify_axioms(X)
-    keys = reference_violations(X)
-    assert len(keys) > MAX_WITNESSES_PER_TAG
-    assert rep.counts["associativity"] == len(keys)
+    count, keys = reference_violations(X)
+    assert count > MAX_WITNESSES_PER_TAG
+    assert rep.counts["associativity"] == count
     # the reference's own order is not (x, y, z) order on this table
     first = keys[:MAX_WITNESSES_PER_TAG]
     assert not np.array_equal(first, np.sort(keys)[:MAX_WITNESSES_PER_TAG])
@@ -198,9 +209,9 @@ def test_random_non_symmetric_table_keeps_first_witnesses_across_blocks():
     X = random_table(n, seed=4)
     rep = verify_axioms(X)
     assert not rep.is_commutative
-    keys = reference_violations(X)
-    assert len(keys) > MAX_WITNESSES_PER_TAG
-    assert rep.counts["associativity"] == len(keys)
+    count, keys = reference_violations(X)
+    assert count > MAX_WITNESSES_PER_TAG
+    assert rep.counts["associativity"] == count
     witnesses = rep.violations_for("associativity")
     assert witnesses == first_triples(keys, n)
     assert len({y // step for _, y, _ in witnesses}) > 1
@@ -257,8 +268,8 @@ def test_identity_and_inverse_records_match_loop_reference(monkeypatch, cap, cas
     assert {tag: rep.counts[tag] for tag in counts} == counts
     sweep = [v for v in rep.violations if v[0] == "associativity"]
     assert rep.violations == first + sweep + last
-    keys = reference_violations(X)
-    assert rep.counts["associativity"] == len(keys)
+    count, keys = reference_violations(X)
+    assert rep.counts["associativity"] == count
     assert [w for _, w in sweep] == first_triples(keys, len(X))[:cap]
 
 
@@ -291,3 +302,120 @@ def test_random_tables_match_sort_reference(n, symmetric):
     X = random_symmetric(n, seed=n) if symmetric else random_table(n, seed=n)
     assert verify_axioms(X).is_commutative == symmetric
     assert_matches_reference(X)
+
+
+# Light's test on a generating set: it accepts exactly the tables on which
+# the sweep finds no associativity violation, at every size, including the
+# sizes where verify_axioms sweeps without it.
+
+
+def moved_identity(X: TwoValuedGroup, seed: int) -> TwoValuedGroup:
+    """X with all its elements permuted by the seed, e included, so that
+    index 0 is not the identity (unless the permutation keeps it there)."""
+    n = len(X)
+    perm = np.random.default_rng(seed).permutation(n)  # old -> new
+    inv = np.argsort(perm)
+    lo, hi = perm[X.lo[np.ix_(inv, inv)]], perm[X.hi[np.ix_(inv, inv)]]
+    return TwoValuedGroup.from_arrays(X.names, np.minimum(lo, hi), np.maximum(lo, hi))
+
+
+def from_cells(n: int, cells: dict[tuple[int, int], tuple[int, int]]) -> TwoValuedGroup:
+    """The commutative table with e*x = [x, x] and a*b = cells[a, b] for
+    1 <= a <= b."""
+    lo = np.zeros((n, n), np.int64)
+    lo[0, :] = lo[:, 0] = np.arange(n)
+    hi = lo.copy()
+    for (a, b), (u, v) in cells.items():
+        lo[a, b] = lo[b, a] = u
+        hi[a, b] = hi[b, a] = v
+    return TwoValuedGroup.from_arrays(tuple(map(str, range(n))), lo, hi)
+
+
+# 1*1 = [2, 3] and 1 passes Light's test, but 2 and 3 fail it in opposite
+# ways: e_2 + e_3 lies in the middle nucleus while e_2 does not.  A closure
+# that marks both 2 and 3 reached from 1*1 never tests 2.
+HALF_NUCLEUS = {(1, 1): (2, 3), (1, 2): (1, 1), (1, 3): (2, 3),
+                (2, 2): (2, 3), (2, 3): (2, 3), (3, 3): (1, 1)}
+
+
+def light_agrees_with_sweep(X: TwoValuedGroup, monkeypatch) -> bool:
+    """Whether _passes_light_test says what the sweep says, and
+    verify_axioms reports the same with the test as with the sweep alone."""
+    lo, hi = X.lo, X.hi
+    commutative = bool(np.array_equal(lo, lo.T) and np.array_equal(hi, hi.T))
+    count, _ = core._associativity_violations(lo, hi, commutative)
+    monkeypatch.setattr(core, "_LIGHT_TEST_MIN_SIZE", 1)
+    tested = verify_axioms(X)
+    monkeypatch.setattr(core, "_LIGHT_TEST_MIN_SIZE", core._MAX_CODED_ELEMENTS + 1)
+    swept = verify_axioms(X)
+    return core._passes_light_test(lo, hi, commutative) == (count == 0) and tested == swept
+
+
+@pytest.mark.parametrize("size", range(1, 60))
+def test_light_test_matches_sweep_on_labels(size, monkeypatch):
+    # every label of the size: plain, with every element permuted (e moved
+    # off index 0), and with 1 to 3 cells corrupted, symmetrically and on
+    # one side only
+    for i, label in enumerate(sorted(all_labels_of_size(size), key=str)):
+        X = realize(label)
+        tables = [X, moved_identity(X, seed=size + i)]
+        if size >= 3:
+            tables += [corrupted(X, c, seed=size * c + i) for c in (1, 2, 3)]
+            tables += [corrupted_one_sided(X, c, seed=size * c + i) for c in (1, 2, 3)]
+        for k, Y in enumerate(tables):
+            assert light_agrees_with_sweep(Y, monkeypatch), (label, k)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non_symmetric"])
+def test_light_test_matches_sweep_on_random_tables(symmetric, monkeypatch):
+    # index 0 is no identity on most of these
+    for n in range(3, 41):
+        X = random_symmetric(n, seed=100 + n) if symmetric else random_table(n, seed=100 + n)
+        assert light_agrees_with_sweep(X, monkeypatch), n
+
+
+@pytest.mark.parametrize("m", [60, 128])
+def test_light_test_accepts_doubled_dihedral_groups(m, monkeypatch):
+    X = doubled_dihedral(m)
+    assert core._passes_light_test(X.lo, X.hi, commutative=False)
+    assert light_agrees_with_sweep(X, monkeypatch)
+    assert light_agrees_with_sweep(corrupted_one_sided(X, 1, seed=m), monkeypatch)
+
+
+def test_light_test_rejects_a_half_nucleus_table(monkeypatch):
+    X = from_cells(4, HALF_NUCLEUS)
+    assert core._generating_set(X.lo, X.hi) == [1, 2]
+    assert not core._passes_light_test(X.lo, X.hi, commutative=True)
+    assert verify_axioms(X).counts["associativity"] > 0
+    assert light_agrees_with_sweep(X, monkeypatch)
+
+
+def test_generating_set_takes_the_least_unreached_element():
+    # n = 514: three generators; each new generator is the least element
+    # the earlier ones do not reach
+    X = principal(32, 32)
+    assert core._generating_set(X.lo, X.hi) == [1, 17, 18]
+    one = np.zeros((1, 1), np.uint8)
+    assert core._generating_set(one, one) == []
+
+
+def test_special_series_11_verifies_within_one_gib():
+    # n = 2,049; the child caps its own address space before it starts
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = ("from twovalued.constructions import special_series\n"
+            "from twovalued.core import verify_axioms\n"
+            "r = verify_axioms(special_series(11))\n"
+            "print(r.size, r.is_two_valued_group, r.is_commutative, r.is_involutive,"
+            " r.violations)\n")
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, preexec_fn=cap, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2049", "True", "True", "True", "[]"]
