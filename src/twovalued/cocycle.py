@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TwoValuedGroup, _orders, _powers
-from .structure import _f2_pivots, boolean_subgroup, is_special, squares_subgroup
+from .structure import _f2_rank, _sign_forms, boolean_subgroup, is_special, squares_subgroup
 
 __all__ = [
     "QuasiCocycle",
@@ -92,7 +92,11 @@ def apply_linear(M, v: int) -> int:
 
 
 def linear_rank(vectors, dim: int) -> int:
-    return len(_f2_pivots(vectors))
+    """Rank over F2 of dim-bit vectors; ValueError for any other vector."""
+    vectors = list(vectors)
+    if not all(0 <= v < 1 << dim for v in vectors):
+        raise ValueError(f"vectors must lie in [0, 2**{dim})")
+    return _f2_rank(vectors)
 
 
 @dataclass(frozen=True)
@@ -231,19 +235,12 @@ def extract_quasicocycle(X: TwoValuedGroup) -> ExtractionData:
     dim = V.dim
     members = np.array(V.members)
     dot = np.array(V.table)
-    # greedy basis by member position; coordinates filled by closing under
-    # the dot product
-    vec = np.full(len(members), -1)
-    vec[0] = 0
-    nbasis = 0
-    for p in range(len(members)):
-        if vec[p] >= 0:
-            continue
-        have = np.flatnonzero(vec >= 0)
-        vec[dot[p, have]] = vec[have] ^ (1 << (dim - 1 - nbasis))
-        nbasis += 1
-    if nbasis != dim or (vec < 0).any():
+    # coordinates of V on its generators by member position, the first as
+    # the most significant bit
+    gens, forms = _sign_forms(dot, dot)
+    if len(gens) != dim:
         raise PreconditionViolated("order-2 elements do not span as expected")
+    vec = ((forms.astype(np.int64)[:, None] >> np.arange(dim)) & 1) @ (1 << np.arange(dim))[::-1]
     coords = dict(zip(V.members, vec.tolist()))
 
     # the orbit X_v = {x : x^2 = v}, represented by its smallest element

@@ -275,74 +275,84 @@ def is_homomorphism(X: TwoValuedGroup, Z: TwoValuedGroup, f) -> HomomorphismRepo
     return report
 
 
-def _f2_pivots(rows, mask: int = -1) -> dict[int, int] | None:
-    """Leading-bit Gaussian elimination over F2 on the bits in mask (all
-    bits by default).  Returns the pivot rows keyed by leading bit, or None
-    when a row reduces to zero on mask but not outside it."""
+def _f2_rank(rows) -> int:
+    """Rank over F2 of int bitmask rows, by leading-bit elimination."""
     pivots: dict[int, int] = {}
     for row in rows:
-        while row & mask:
-            lead = (row & mask).bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = row
-                break
+        while row and (lead := row.bit_length()) in pivots:
             row ^= pivots[lead]
-        else:
-            if row:
-                return None
-    return pivots
+        if row:
+            pivots[lead] = row
+    return len(pivots)
 
 
-def _sign_rows(X: TwoValuedGroup) -> list[int]:
-    """The equations f(x) f(y) f(z) = 1, z in x*y, x <= y, of a sign
-    homomorphism f as distinct F2 rows (bit x ^ bit y ^ bit z), sorted.
-
-    Each triple is reduced to the elements of odd multiplicity before any
-    Python int is made: (u, u, u) stands for a single bit u."""
-    n = len(X)
-    dt = np.int32 if n ** 3 < 1 << 31 else np.int64
-    x, y = (v.astype(dt) for v in np.triu_indices(n))
-    keys = []
-    for z in (X.lo[x, y].astype(dt), X.hi[x, y].astype(dt)):
-        # an element that appears twice cancels
-        cancels = (x == y) | (z == x) | (z == y)
-        single = np.where(x == y, z, np.where(z == x, y, x))
-        a, c = np.minimum(x, z), np.maximum(y, z)
-        b = x + y + z - a - c
-        keys.append(np.where(cancels, single * (n * n + n + 1), (a * n + b) * n + c))
-    keys = np.sort(np.concatenate(keys))
-    keys = keys[np.append(True, keys[1:] != keys[:-1])]
-    a, b, c = keys // (n * n), keys // n % n, keys % n
-    return sorted(
-        (1 << i) ^ (1 << j) ^ (1 << k)
-        for i, j, k in zip(a.tolist(), b.tolist(), c.tolist())
-    )
+def _sign_forms(lo: np.ndarray, hi: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Generators G and a uint64 form per element, bit i standing for G[i]:
+    every f: X -> F2 with f(e) = 0 and f(z) = f(x) + f(y), z in x*y, x <= y,
+    sends x to the sum of f over the bits of forms[x].  Closing from e, an
+    unreached element of a*b, a <= b reached, gets forms[a] ^ forms[b]; when
+    nothing new is reached, the first unreached element joins G.  ValueError
+    past 64 generators."""
+    # not core._generating_set: Light's test needs the algebra rule, under
+    # which [u, v] reaches u only when u = v or v is reached (14 generators
+    # against 10 for unipotent(3) x C2^4), and verify has no generator cap
+    n = len(lo)
+    forms = np.zeros(n, np.uint64)
+    reached = np.arange(n) == 0
+    gens: list[int] = []
+    fresh = np.zeros(1, np.intp)
+    while not reached.all():
+        was = reached.copy()
+        at = was.nonzero()[0]
+        a, b = np.minimum.outer(at, fresh).ravel(), np.maximum.outer(at, fresh).ravel()
+        ab = forms[a] ^ forms[b]
+        z = np.concatenate((lo[a, b], hi[a, b]))
+        new = ~reached[z]
+        forms[z[new]] = np.concatenate((ab, ab))[new]
+        reached[z[new]] = True
+        fresh = (reached > was).nonzero()[0]
+        if not len(fresh):
+            if len(gens) == 64:
+                raise ValueError("a sign form holds at most 64 generators; this table needs more")
+            fresh = reached.argmin(keepdims=True)
+            forms[fresh] = 1 << len(gens)
+            reached[fresh] = True
+            gens.append(int(fresh[0]))
+    return gens, forms
 
 
 def split_direct_factor(X: TwoValuedGroup) -> tuple[TwoValuedGroup, int, list[str]]:
     """Strip off single-valued C2 direct factors one at a time.
 
     A C2 factor exists iff some order-2 element w is not a square; the
-    obstruction is phrased as an F2-linear system for a sign homomorphism f
-    with f(w) = -1 (equations f(x)f(y)f(z) = 1 for every z in x*y).  The
-    split is certified when elimination finds the system consistent; then
-    we pass to the quotient by {e, w}.  Returns (X', m, witness names),
-    where X' has no single-valued direct factor and X is isomorphic to
-    X' x C2^m.
+    split is certified by a sign homomorphism f with f(w) = 1 and
+    f(z) = f(x) + f(y) over F2 for every z in x*y.  f is fixed by its
+    values on the generators of _sign_forms, so the equations are the
+    distinct rows forms[x] ^ forms[y] ^ forms[z], in at most 64 variables;
+    InconsistentSystem when they admit no such f.  Then we pass to the
+    quotient by {e, w}.  Returns (X', m, witness names), where X' has
+    no single-valued direct factor and X is isomorphic to X' x C2^m.
+
+    >>> from twovalued.constructions import principal, product_with_boolean
+    >>> Xp, m, witnesses = split_direct_factor(product_with_boolean(principal(5), 2))
+    >>> Xp.names, m, witnesses
+    (('0|00', '1|00', '2|00'), 2, ['0|01', '0|10'])
     """
     cur = X
     witnesses: list[str] = []
     while True:
-        n = len(cur)
         # the order-2 elements that are not squares
         lone = _orders(cur) == 2
         lone[_powers(cur, 2)] = False
         if not lone.any():
             return cur, len(witnesses), witnesses
         w = int(np.argmax(lone))
-        rows = _sign_rows(cur)
-        rows.append((1 << w) | (1 << n))  # f(w) = -1, bit n the right-hand side
-        if _f2_pivots(rows, (1 << n) - 1) is None:
+        _, forms = _sign_forms(cur.lo, cur.hi)
+        x, y = np.triu_indices(len(cur))
+        rows = np.concatenate([forms[x] ^ forms[y] ^ forms[z[x, y]] for z in (cur.lo, cur.hi)])
+        rows = set(rows[rows != 0].tolist())
+        # f(w) = 1 is possible when forms[w] is not a sum of the rows
+        if _f2_rank(rows) == _f2_rank([*rows, int(forms[w])]):
             raise InconsistentSystem(f"no sign homomorphism separates element {cur.names[w]}")
         witnesses.append(cur.names[w])
         cur, _ = quotient(cur, frozenset({cur.identity, w}))

@@ -62,6 +62,17 @@ def test_linear_rank():
     assert linear_rank([], 3) == 0
 
 
+@pytest.mark.parametrize("vectors", [[0b1000, 2, 1], [-1, 2, 1]], ids=["wide", "negative"])
+def test_linear_rank_rejects_vectors_outside_dim_bits(vectors):
+    with pytest.raises(ValueError, match="vectors must lie in"):
+        linear_rank(vectors, 3)
+    # the callers raise their documented ValueError, not a KeyError
+    with pytest.raises(ValueError):
+        change_basis(phi_basis(3), vectors)
+    with pytest.raises(ValueError):
+        restrict_along(phi_basis(3), vectors[:2], vectors[2:])
+
+
 def test_from_function_canonicalizes():
     phi = QuasiCocycle.from_function(3, lambda u, v: u | v)
     for (u, v), w in phi.values.items():

@@ -1,8 +1,11 @@
 """Structural analysis: Boolean subgroup action, quotients, splitting."""
 
+import numpy as np
 import pytest
 
-from twovalued.core import order, verify_axioms
+from test_structure_oracle import reference_in_span, reference_sign_rows
+from twovalued.cli import cli_main, write_group
+from twovalued.core import TwoValuedGroup, order, verify_axioms
 from twovalued.constructions import (
     FinAbelianGroup,
     double,
@@ -24,8 +27,9 @@ from twovalued.structure import (
     squares_subgroup,
     subgroup_closure,
     v_dot,
+    _sign_forms,
 )
-from twovalued.classify import are_isomorphic
+from twovalued.classify import are_isomorphic, classify
 
 
 def test_v_dot_identity_acts_trivially():
@@ -239,19 +243,6 @@ def test_quotient_of_unipotent_by_v_is_doubled_boolean():
     assert all(p.is_doubled for row in Q.table for p in row)
 
 
-def _loop_sign_rows(X):
-    # the per-cell loop split_direct_factor used to build its F2 rows with
-    rows = set()
-    n = len(X)
-    for x in range(n):
-        for y in range(x, n):
-            p = X.table[x][y]
-            for z in (p.lo, p.hi):
-                rows.add((1 << x) ^ (1 << y) ^ (1 << z))
-    rows.discard(0)
-    return sorted(rows)
-
-
 @pytest.mark.parametrize(
     "X",
     [
@@ -265,9 +256,40 @@ def _loop_sign_rows(X):
     ids=["p2", "p5", "p4x8_m1", "p3x9_m2", "u3_m1", "s3_m2"],
 )
 def test_sign_rows_match_per_cell_loop(X):
-    from twovalued.structure import _sign_rows
+    # the rows in generator forms admit a sign homomorphism with f(w) = 1
+    # for exactly the elements w that the per-cell rows of n bits do
+    _, forms = _sign_forms(X.lo, X.hi)
+    x, y = np.triu_indices(len(X))
+    xy = forms[x] ^ forms[y]
+    rows = [int(r) for z in (X.lo[x, y], X.hi[x, y]) for r in xy ^ forms[z]]
+    cell_rows = reference_sign_rows(X)
+    split = [w for w in range(len(X)) if not reference_in_span(1 << w, cell_rows)]
+    assert [w for w in range(len(X)) if not reference_in_span(int(forms[w]), rows)] == split
 
-    assert _sign_rows(X) == _loop_sign_rows(X)
+
+def _flat_table(n: int) -> TwoValuedGroup:
+    """n elements, every product of two non-identity elements [e, e]."""
+    lo = np.zeros((n, n), np.intp)
+    lo[0] = lo[:, 0] = np.arange(n)
+    return TwoValuedGroup.from_arrays([str(i) for i in range(n)], lo, lo)
+
+
+def test_sign_forms_hold_at_most_64_generators(tmp_path, capsys):
+    # each non-identity element of a flat table is a generator of its own
+    Y = _flat_table(65)
+    gens, forms = _sign_forms(Y.lo, Y.hi)
+    assert gens == list(range(1, 65))
+    assert int(forms[64]) == 1 << 63
+    X = _flat_table(70)
+    for call in (split_direct_factor, classify):
+        with pytest.raises(ValueError, match="at most 64 generators"):
+            call(X)
+    assert verify_axioms(X).counts["associativity"] == 323_748
+    # the command line verifies first and refuses the table
+    path = tmp_path / "flat.json"
+    write_group(X, str(path))
+    assert cli_main(["classify", str(path)]) == 1
+    assert "not a valid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("i", [-1, 7], ids=["minus_one", "n"])
