@@ -37,7 +37,7 @@ from .constructions import (
 )
 from .core import AmbiguousPower, TwoValuedGroup, _element, _generating_set, _orders, index_dtype
 from .cocycle import cohomology_invariant, extract_quasicocycle
-from .structure import _mismatches, is_special, split_direct_factor
+from .structure import _mismatches, _special_pairs, split_direct_factor
 
 __all__ = [
     "ClassLabel",
@@ -206,28 +206,13 @@ def all_labels_of_size(k: int) -> set[ClassLabel]:
     """Every isomorphism class of the given cardinality, by label
     arithmetic: enumerate the three series, dedup through the canonical
     constructors."""
-    labels: set[ClassLabel] = set()
-    for chain in _chains_with_product_up_to(2 * k):
-        lab = ClassLabel.principal_label(chain)
-        if lab.size() == k:
-            labels.add(lab)
-    n = 1
-    while 2 ** (2 * n - 1) + 2 ** (n - 1) <= k:
-        m = 0
-        while (2 ** (2 * n - 1) + 2 ** (n - 1)) << m <= k:
-            if (2 ** (2 * n - 1) + 2 ** (n - 1)) << m == k:
-                labels.add(ClassLabel.unipotent_label(n, m))
-            m += 1
-        n += 1
-    n = 1
-    while 2 ** n + 1 <= k:
-        m = 0
-        while (2 ** n + 1) << m <= k:
-            if (2 ** n + 1) << m == k:
-                labels.add(ClassLabel.special_label(n, m))
-            m += 1
-        n += 1
-    return labels
+    labels = [ClassLabel.principal_label(chain) for chain in _chains_with_product_up_to(2 * k)]
+    for family in (ClassLabel.unipotent_label, ClassLabel.special_label):
+        n = 1
+        while family(n, 0).size() <= k:
+            labels += [family(n, m) for m in range(k.bit_length())]
+            n += 1
+    return {lab for lab in labels if lab.size() == k}
 
 
 @dataclass(frozen=True)
@@ -314,9 +299,9 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
     The conditions are tested on blocks of rows of the pair table, for the
     at most four candidates z in x*y, r in t*z of each product.
     """
-    special, pairs_w = is_special(X)
-    if special:
-        raise ValueError(f"group has special pairs, e.g. {pairs_w[0]}")
+    special = np.argwhere(_special_pairs(X))
+    if len(special):
+        raise ValueError(f"group has special pairs, e.g. {tuple(special[0].tolist())}")
     orders = _orders(X)
     if t is None:
         admissible = np.flatnonzero((orders == 3) | (orders > 4))
@@ -391,8 +376,7 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
     otherwise split X = X' x C2^m and read the cocycle class of X'.
     """
     n = len(X)
-    special, _ = is_special(X)
-    if special:
+    if _special_pairs(X).any():
         m = (n & -n).bit_length() - 1
         sz = n >> m
         k = (sz - 1).bit_length() - 1

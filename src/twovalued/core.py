@@ -294,14 +294,6 @@ def index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
-def y_blocks(n: int) -> list[slice]:
-    """Blocks of consecutive middle elements y for an n^3 sweep over 8-byte
-    codes: one (y, x, z) block of codes takes about _SWEEP_BLOCK_BYTES, and
-    every block holds at least one y."""
-    step = max(1, _SWEEP_BLOCK_BYTES // (n * n * 8))
-    return [slice(y0, min(n, y0 + step)) for y0 in range(0, n, step)]
-
-
 def _power_sum_codes(n: int) -> np.ndarray:
     """uint64 codes of the elements 0..n-1 whose sums over 4-element
     multisets are equal only for equal multisets: v, v^2, v^3 and v^4 mod
@@ -324,20 +316,28 @@ def _power_sum_codes(n: int) -> np.ndarray:
 
 
 def _associativity_violations(
-    lo: np.ndarray, hi: np.ndarray, commutative: bool
+    lo: np.ndarray, hi: np.ndarray, commutative: bool, middles: np.ndarray | slice
 ) -> tuple[int, list[tuple[int, int, int]]]:
-    """The number of triples (x, y, z) with (x*y)*z != x*(y*z) as
-    4-element multisets, and the lexicographically first
-    MAX_WITNESSES_PER_TAG of them.  commutative says lo and hi are
-    symmetric.
+    """The number of triples (x, y, z) with y in middles and
+    (x*y)*z != x*(y*z) as 4-element multisets, and the lexicographically
+    first MAX_WITNESSES_PER_TAG of them.  middles is an increasing index
+    array, or a slice (slice(None) for all n); commutative says lo and hi
+    are symmetric.
+
+    With middles = {e} and a generating set (_generating_set), this is
+    Light's test: the count is 0 exactly when the table is associative.
+    Multiset associativity is associativity of Q[X] (Buchstaber's n-valued
+    group ring); the e_y of the y that pass lie in its middle nucleus, a
+    subalgebra (Schafer, 1966), and those of e and the generating set
+    generate Q[X].  e is tested as well because the closure starts from it.
 
     A multiset is compared by its sum of _power_sum_codes: pair[a, b] is
     the code sum of a*b, and each side of a triple is the sum of two
     pair codes, so one uint64 compare decides the triple.  The sweep runs
-    over y_blocks.  Each block gathers whole rows only:
-    left[y, x, z] = (x*y)*z from the rows of the pair x*y, and
-    right[y, z, x] = x*(y*z) from the rows of the pair y*z in pair
-    transposed.  On a commutative table x*(y*z) = (z*y)*x, so right is
+    over blocks of middles of about _SWEEP_BLOCK_BYTES.  Each block
+    gathers whole rows only: left[y, x, z] = (x*y)*z from the rows of the
+    pair x*y, and right[y, z, x] = x*(y*z) from the rows of the pair y*z in
+    pair transposed.  On a commutative table x*(y*z) = (z*y)*x, so right is
     left itself and costs nothing.  Both are compared through
     right.transpose(0, 2, 1), every triple once.
 
@@ -351,22 +351,28 @@ def _associativity_violations(
     code = _power_sum_codes(n)
     pair = code[lo] + code[hi]
     pair_t = pair if commutative else pair.T.copy()
-    blocks = y_blocks(n)
+    ys = np.arange(n)[middles]
+    # row k: the pairs x*y and y*z for the k-th middle y; views for a slice,
+    # which spares the full sweep a fancy index per block
+    xy_lo, xy_hi = lo[:, middles].T, hi[:, middles].T
+    yz_lo, yz_hi = (xy_lo, xy_hi) if commutative else (lo[middles], hi[middles])
+    step = max(1, _SWEEP_BLOCK_BYTES // (n * n * 8))  # middles per block
     # One buffer per array, reused by every block: fresh n^2 arrays per y
     # page-fault at large n.  take fills out= unbuffered only in a mode other
     # than "raise"; the indices are in range, so "clip" changes nothing.
-    left_buf = np.empty((blocks[0].stop, n, n), np.uint64)
+    left_buf = np.empty((min(step, len(ys)), n, n), np.uint64)
     part_buf = np.empty_like(left_buf)
     right_buf = left_buf if commutative else np.empty_like(left_buf)
     bad_buf = np.empty(left_buf.shape, bool)
-    for ys in blocks:
-        m = ys.stop - ys.start
+    for b0 in range(0, len(ys), step):
+        block = slice(b0, b0 + step)
+        m = len(ys[block])
         left, part, right, bad = left_buf[:m], part_buf[:m], right_buf[:m], bad_buf[:m]
-        np.take(pair, lo[:, ys].T, 0, out=left, mode="clip")
-        left += np.take(pair, hi[:, ys].T, 0, out=part, mode="clip")
+        np.take(pair, xy_lo[block], 0, out=left, mode="clip")
+        left += np.take(pair, xy_hi[block], 0, out=part, mode="clip")
         if not commutative:
-            np.take(pair_t, lo[ys], 0, out=right, mode="clip")
-            right += np.take(pair_t, hi[ys], 0, out=part, mode="clip")
+            np.take(pair_t, yz_lo[block], 0, out=right, mode="clip")
+            right += np.take(pair_t, yz_hi[block], 0, out=part, mode="clip")
         np.not_equal(left, right.transpose(0, 2, 1), out=bad)
         k = int(np.count_nonzero(bad))
         total += k
@@ -379,7 +385,7 @@ def _associativity_violations(
             per_x = np.cumsum(np.count_nonzero(by_x, axis=(1, 2)))
             by_x = by_x[: np.searchsorted(per_x, MAX_WITNESSES_PER_TAG) + 1]
         x, y, z = np.nonzero(by_x)
-        found = (x.astype(np.int64) * n + (ys.start + y)) * n + z
+        found = (x.astype(np.int64) * n + ys[b0 + y]) * n + z
         kept = np.sort(np.concatenate([kept, found[:MAX_WITNESSES_PER_TAG]]))
         kept = kept[:MAX_WITNESSES_PER_TAG]
     return total, [(key // (n * n), key // n % n, key % n) for key in kept.tolist()]
@@ -411,37 +417,6 @@ def _generating_set(lo: np.ndarray, hi: np.ndarray) -> list[int]:
             gens.append(int(reached.argmin()))
             reached[gens[-1]] = True
     return gens
-
-
-def _passes_light_test(lo: np.ndarray, hi: np.ndarray, commutative: bool) -> bool:
-    """Whether (x*g)*y = x*(g*y) as 4-element multisets for every x, y and
-    every g in {e} and _generating_set: exactly when the table is
-    associative.  Multiset associativity is associativity of Q[X]
-    (Buchstaber's n-valued group ring); the e_g of the g that pass lie in
-    its middle nucleus, a subalgebra (Schafer, 1966), and those of e and
-    the generating set generate Q[X].  e is tested as well because the
-    closure starts from it.
-
-    Each g costs two row gathers of the pair-code table of
-    _associativity_violations for left[x, y] = (x*g)*y and, on a
-    non-commutative table, two of its transpose for right[y, x] =
-    x*(g*y); on a commutative table x*(g*y) = (y*g)*x, so right is left.
-    """
-    n = len(lo)
-    code = _power_sum_codes(n)
-    pair = code[lo] + code[hi]
-    pair_t = pair if commutative else pair.T.copy()
-    left, part = np.empty_like(pair), np.empty_like(pair)
-    right = left if commutative else np.empty_like(pair)
-    for g in [0, *_generating_set(lo, hi)]:
-        np.take(pair, lo[:, g], 0, out=left, mode="clip")
-        left += np.take(pair, hi[:, g], 0, out=part, mode="clip")
-        if not commutative:
-            np.take(pair_t, lo[g], 0, out=right, mode="clip")
-            right += np.take(pair_t, hi[g], 0, out=part, mode="clip")
-        if not np.array_equal(left, right.T):
-            return False
-    return True
 
 
 @dataclass
@@ -478,14 +453,15 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     single element x' with e contained in both x*x' and x'*x.  Commutativity
     and involutivity (e in x*x for every x) are reported as flags.
 
-    Every check reads the lo/hi arrays whole.  Associativity takes two
-    stages.  From _LIGHT_TEST_MIN_SIZE elements on, Light's test runs
-    first (see _passes_light_test): it compares (x*g)*y with x*(g*y) for
-    every x, y and every g of {e} and a generating set, which is exact and
-    costs O(|G| n^2).  When it passes, the table is associative and the
-    count is 0.  When it fails, or on a smaller table, the n^3 sweep runs
-    (see _associativity_violations), and the count and the witnesses come
-    from it.  The sweep runs in blocks of the middle element y, so memory
+    Every check reads the lo/hi arrays whole.  Associativity is counted by
+    one kernel, _associativity_violations, which compares (x*y)*z with
+    x*(y*z) for every x, z and every y of a given set of middle elements.
+    From _LIGHT_TEST_MIN_SIZE elements on, it runs first on the middles
+    {e} and a generating set: that is Light's test, exact at O(|G| n^2)
+    cost, and when it finds no violation the table is associative and the
+    count is 0.  When it finds some, or on a smaller table, the kernel runs
+    on all n middles, and the count and the witnesses come from that
+    sweep.  The sweep runs in blocks of the middle element y, so memory
     stays bounded for large tables: each side of a triple is one uint64
     sum of two pair codes gathered as whole rows, equal exactly when the
     multisets are, and on a commutative table the right side is the left
@@ -520,12 +496,15 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     diag_hi = hi.diagonal()
     is_involutive = bool(np.all((diag_lo == e) | (diag_hi == e)))
 
-    # associativity: the sweep counts the violations where Light's test
-    # finds some, or where the table is too small for the test to pay
-    if n >= _LIGHT_TEST_MIN_SIZE and _passes_light_test(lo, hi, is_commutative):
-        witnesses = []
-    else:
-        counts["associativity"], witnesses = _associativity_violations(lo, hi, is_commutative)
+    # associativity: Light's test on the middles {e} and G, then the full
+    # sweep where it finds violations or the table is too small for it to pay
+    count = None
+    if n >= _LIGHT_TEST_MIN_SIZE:
+        light = np.array([0, *_generating_set(lo, hi)])
+        count, witnesses = _associativity_violations(lo, hi, is_commutative, light)
+    if count != 0:
+        count, witnesses = _associativity_violations(lo, hi, is_commutative, slice(None))
+    counts["associativity"] = count
     violations += [("associativity", w) for w in witnesses]
 
     # inverse axiom: C_x = {y : e in x*y or e in y*x} must be exactly one

@@ -26,7 +26,6 @@ table already kept, so it lists its classes in the order it finds them.
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .core import TwoValuedGroup, verify_axioms
 __all__ = ["BudgetExceeded", "enumerate_all"]
 
 DEFAULT_BUDGET = 50_000_000
-BUDGET_ENV_VAR = "TWOVALUED_ENUM_BUDGET"
 MAX_SIZE_INVOLUTIVE = 7
 MAX_SIZE_GENERAL = 4
 
@@ -53,10 +51,10 @@ def enumerate_all(
     """All two-valued groups of size k up to isomorphism.
 
     A node is one value tried in one cell.  Sizes below 6 run unbudgeted;
-    from size 6 on the default node budget is 50M.  The budget argument, or
-    else the TWOVALUED_ENUM_BUDGET environment variable, overrides it, and
-    BudgetExceeded is raised when the nodes run out.  Sizes go up to 7 in
-    involutive commutative mode and up to 4 in general mode.
+    from size 6 on the default node budget is 50M.  The budget argument
+    overrides it, and BudgetExceeded is raised when the nodes run out.
+    Sizes go up to 7 in involutive commutative mode and up to 4 in general
+    mode.
 
     >>> sorted(str(classify(X)) for X in enumerate_all(4))
     ['Principal(2,2)', 'Principal(6)', 'Principal(7)']
@@ -67,15 +65,7 @@ def enumerate_all(
     if k > maxk:
         raise ValueError(f"enumeration supported up to size {maxk} in this mode")
     if budget is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        if env is not None:
-            try:
-                budget = int(env)
-            except ValueError:
-                raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, not {env!r}") from None
-            if budget < 0:
-                raise ValueError(f"{BUDGET_ENV_VAR} must be >= 0, not {budget}")
-        elif k >= 6:
+        if k >= 6:
             budget = DEFAULT_BUDGET
     elif budget < 0:
         raise ValueError(f"node budget must be >= 0, not {budget}")

@@ -137,11 +137,14 @@ def is_special(X: TwoValuedGroup) -> tuple[bool, list[tuple[int, int]]]:
     >>> is_special(special_series(2))  # 01*10 = [11, 11], and so on
     (True, [(1, 2), (1, 3), (2, 3)])
     """
-    big = np.flatnonzero(_orders(X) > 2)
-    x, y = (X.lo[big[:, None], big] == X.hi[big[:, None], big]).nonzero()
-    upper = x <= y
-    witnesses = list(zip(big[x[upper]].tolist(), big[y[upper]].tolist()))
+    witnesses = list(map(tuple, np.argwhere(_special_pairs(X)).tolist()))
     return (bool(witnesses), witnesses)
+
+
+def _special_pairs(X: TwoValuedGroup) -> np.ndarray:
+    """mask[x, y] says that x <= y is a special pair of X (see is_special)."""
+    big = _orders(X) > 2
+    return np.triu(X.lo == X.hi) & big[:, None] & big
 
 
 def squares_subgroup(X: TwoValuedGroup) -> frozenset[int]:

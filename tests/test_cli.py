@@ -272,23 +272,11 @@ class TestEnumerate:
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
 
-    def test_non_integer_env_budget_names_the_variable(self, monkeypatch, capsys):
-        monkeypatch.setenv("TWOVALUED_ENUM_BUDGET", "lots")
-        code, _, err = run(capsys, "enumerate", "4")
-        assert code == 2
-        assert "TWOVALUED_ENUM_BUDGET" in err
-
 
 class TestEnumerateLibrary:
-    def test_env_var_budget(self, monkeypatch):
-        monkeypatch.setenv("TWOVALUED_ENUM_BUDGET", "10")
+    def test_budget_argument_caps_the_search(self):
         with pytest.raises(BudgetExceeded):
-            enumerate_all(6)
-
-    def test_explicit_budget_beats_env(self, monkeypatch):
-        monkeypatch.setenv("TWOVALUED_ENUM_BUDGET", "10")
-        gs = enumerate_all(4, budget=10_000_000)
-        assert len(gs) == 3
+            enumerate_all(6, budget=10)
 
     def test_small_sizes_need_no_budget(self):
         assert [len(enumerate_all(k)) for k in range(1, 5)] == [1, 2, 2, 3]

@@ -8,9 +8,10 @@ compare the true count and the lexicographically first witnesses.  The
 strong-identity and inverse records are compared with the per-element
 loops verify_axioms used before they were vectorized.  The codes
 themselves are checked for injectivity on small sizes and for carry-free
-fields at the largest size.  Light's test on a generating set is checked
-against the sweep: it must accept exactly the tables the sweep finds
-associative.
+fields at the largest size.  The sweep on a subset of the middle elements
+y is checked against a per-y reference, and Light's test (that sweep on
+{e} and a generating set) against the full sweep: it must accept exactly
+the tables the full sweep finds associative.
 """
 
 import os
@@ -204,7 +205,7 @@ def test_random_non_symmetric_table_keeps_first_witnesses_across_blocks():
     # and later blocks must be merged in front of witnesses already kept
     # from larger x
     n = 200
-    step = core.y_blocks(n)[0].stop  # y per block
+    step = max(1, core._SWEEP_BLOCK_BYTES // (n * n * 8))  # y per block
     assert step < n
     X = random_table(n, seed=4)
     rep = verify_axioms(X)
@@ -215,6 +216,47 @@ def test_random_non_symmetric_table_keeps_first_witnesses_across_blocks():
     witnesses = rep.violations_for("associativity")
     assert witnesses == first_triples(keys, n)
     assert len({y // step for _, y, _ in witnesses}) > 1
+
+
+# The sweep on a subset of the middle elements y, which Light's test is.
+
+
+def reference_at_middles(X: TwoValuedGroup, ys) -> tuple[int, list[tuple[int, int, int]]]:
+    """The number of triples (x, y, z) with y in ys and (x*y)*z != x*(y*z),
+    both sides sorted as 4-element multisets, and the first
+    MAX_WITNESSES_PER_TAG of them in (x, y, z) order."""
+    lo, hi = X.lo.astype(np.intp), X.hi.astype(np.intp)
+    triples = []
+    for y in ys:
+        a, b = lo[:, y], hi[:, y]  # x*y for every x
+        c, d = lo[y], hi[y]  # y*z for every z
+        lhs = np.sort(np.stack([lo[a], hi[a], lo[b], hi[b]], axis=-1), axis=-1)
+        rhs = np.sort(np.stack([lo[:, c], hi[:, c], lo[:, d], hi[:, d]], axis=-1), axis=-1)
+        x, z = (lhs != rhs).any(axis=-1).nonzero()
+        triples += [(i, int(y), k) for i, k in zip(x.tolist(), z.tolist())]
+    return len(triples), sorted(triples)[:MAX_WITNESSES_PER_TAG]
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non_symmetric"])
+def test_sweep_on_middles_matches_reference_on_random_tables(symmetric):
+    rng = np.random.default_rng(7)
+    for n in range(3, 41):
+        X = random_symmetric(n, seed=200 + n) if symmetric else random_table(n, seed=200 + n)
+        ys = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        got = core._associativity_violations(X.lo, X.hi, symmetric, ys)
+        assert got == reference_at_middles(X, ys.tolist()), (n, ys)
+
+
+def test_sweep_on_middles_keeps_first_witnesses_across_blocks():
+    # one y per block at n = 200; the first witnesses come from several y
+    n = 200
+    assert core._SWEEP_BLOCK_BYTES // (n * n * 8) <= 1
+    X = random_table(n, seed=9)
+    ys = np.array([0, 3, 17, 18, 60, 61, 120, 199])
+    count, witnesses = core._associativity_violations(X.lo, X.hi, False, ys)
+    assert count > MAX_WITNESSES_PER_TAG
+    assert (count, witnesses) == reference_at_middles(X, ys.tolist())
+    assert len({y for _, y, _ in witnesses}) > 1
 
 
 def reference_identity_and_inverse(X: TwoValuedGroup, cap: int):
@@ -338,17 +380,24 @@ HALF_NUCLEUS = {(1, 1): (2, 3), (1, 2): (1, 1), (1, 3): (2, 3),
                 (2, 2): (2, 3), (2, 3): (2, 3), (3, 3): (1, 1)}
 
 
+def light_count(X: TwoValuedGroup, commutative: bool) -> int:
+    """The violations Light's test finds: the sweep on the middles {e}
+    and the generating set."""
+    middles = np.array([0, *core._generating_set(X.lo, X.hi)])
+    return core._associativity_violations(X.lo, X.hi, commutative, middles)[0]
+
+
 def light_agrees_with_sweep(X: TwoValuedGroup, monkeypatch) -> bool:
-    """Whether _passes_light_test says what the sweep says, and
+    """Whether Light's test says what the full sweep says, and
     verify_axioms reports the same with the test as with the sweep alone."""
     lo, hi = X.lo, X.hi
     commutative = bool(np.array_equal(lo, lo.T) and np.array_equal(hi, hi.T))
-    count, _ = core._associativity_violations(lo, hi, commutative)
+    count, _ = core._associativity_violations(lo, hi, commutative, slice(None))
     monkeypatch.setattr(core, "_LIGHT_TEST_MIN_SIZE", 1)
     tested = verify_axioms(X)
     monkeypatch.setattr(core, "_LIGHT_TEST_MIN_SIZE", core._MAX_CODED_ELEMENTS + 1)
     swept = verify_axioms(X)
-    return core._passes_light_test(lo, hi, commutative) == (count == 0) and tested == swept
+    return (light_count(X, commutative) == 0) == (count == 0) and tested == swept
 
 
 @pytest.mark.parametrize("size", range(1, 60))
@@ -377,7 +426,7 @@ def test_light_test_matches_sweep_on_random_tables(symmetric, monkeypatch):
 @pytest.mark.parametrize("m", [60, 128])
 def test_light_test_accepts_doubled_dihedral_groups(m, monkeypatch):
     X = doubled_dihedral(m)
-    assert core._passes_light_test(X.lo, X.hi, commutative=False)
+    assert light_count(X, commutative=False) == 0
     assert light_agrees_with_sweep(X, monkeypatch)
     assert light_agrees_with_sweep(corrupted_one_sided(X, 1, seed=m), monkeypatch)
 
@@ -385,7 +434,7 @@ def test_light_test_accepts_doubled_dihedral_groups(m, monkeypatch):
 def test_light_test_rejects_a_half_nucleus_table(monkeypatch):
     X = from_cells(4, HALF_NUCLEUS)
     assert core._generating_set(X.lo, X.hi) == [1, 2]
-    assert not core._passes_light_test(X.lo, X.hi, commutative=True)
+    assert light_count(X, commutative=True) > 0
     assert verify_axioms(X).counts["associativity"] > 0
     assert light_agrees_with_sweep(X, monkeypatch)
 
