@@ -14,22 +14,22 @@ names.  write_group emits a canonical form (cells ordered by element index,
 2-space indent, trailing newline) so read/write round trips are
 byte-stable.
 
-enumerate_all and BudgetExceeded live in twovalued.enumeration; they are
-re-exported here for existing importers.
+Each command imports only the submodules it runs.  enumerate_all and
+BudgetExceeded live in twovalued.enumeration; a module __getattr__
+re-exports them here for existing importers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .classify import classify
-from .constructions import principal, product_with_boolean, special_series, unipotent
-from .core import Pair, TwoValuedGroup, verify_axioms
-from .enumeration import BudgetExceeded, enumerate_all
-from .formal import LawParams, random_sample_suite
+if TYPE_CHECKING:
+    from .core import TwoValuedGroup
 
 __all__ = [
     "ParseError",
@@ -54,6 +54,14 @@ class NonSquareTable(ParseError):
     pass
 
 
+def __getattr__(name: str):
+    if name in ("BudgetExceeded", "enumerate_all"):
+        from . import enumeration
+
+        return getattr(enumeration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def group_to_json(X: TwoValuedGroup) -> str:
     """Canonical GroupFile text for a group."""
     doc = {
@@ -68,6 +76,8 @@ def group_to_json(X: TwoValuedGroup) -> str:
 
 
 def group_from_json(text: str) -> TwoValuedGroup:
+    from .core import Pair, TwoValuedGroup
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -76,10 +86,10 @@ def group_from_json(text: str) -> TwoValuedGroup:
         raise ParseError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported format_version {doc.get('format_version')!r}"
-        )
+    version = doc.get("format_version")
+    # exactly the JSON integer: True and 1.0 compare equal to 1
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version!r}")
     elements = doc.get("elements")
     if (
         not isinstance(elements, list)
@@ -139,6 +149,8 @@ def write_group(X: TwoValuedGroup, path: str):
 # --- command line -----------------------------------------------------------
 
 def _cmd_construct(args) -> int:
+    from .constructions import principal, product_with_boolean, special_series, unipotent
+
     if args.principal is not None:
         text = args.principal.strip()
         chain = tuple(int(s) for s in text.split(",")) if text else ()
@@ -154,6 +166,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .core import verify_axioms
+
     X = read_group(args.group)
     rep = verify_axioms(X)
     print(f"elements: {len(X)}")
@@ -171,6 +185,8 @@ def _cmd_verify(args) -> int:
 
 
 def _require_valid(X: TwoValuedGroup, label: str) -> bool:
+    from .core import verify_axioms
+
     rep = verify_axioms(X)
     if not (rep.is_two_valued_group and rep.is_commutative and rep.is_involutive):
         print(
@@ -182,6 +198,8 @@ def _require_valid(X: TwoValuedGroup, label: str) -> bool:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify
+
     X = read_group(args.group)
     if not _require_valid(X, args.group):
         return 1
@@ -190,7 +208,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    from .classify import Timeout, witness_isomorphism
+    from .classify import Timeout, classify, witness_isomorphism
 
     X = read_group(args.left)
     Z = read_group(args.right)
@@ -211,6 +229,9 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .classify import classify
+    from .enumeration import BudgetExceeded, enumerate_all
+
     try:
         groups = enumerate_all(
             args.size,
@@ -238,19 +259,20 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _parse_params(text: str) -> LawParams:
+def _parse_params(text: str) -> list[complex]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("expected three comma-separated values")
-    vals = [complex(s.strip().replace("i", "j")) for s in parts]
-    return LawParams(*vals)
+    return [complex(s.strip().replace("i", "j")) for s in parts]
 
 
 def _cmd_elliptic(args) -> int:
+    from .formal import LawParams, random_sample_suite
+
     params = None
     if args.params is not None:
         try:
-            params = _parse_params(args.params)
+            params = LawParams(*_parse_params(args.params))
         except ValueError as exc:
             print(f"bad --params: {exc}", file=sys.stderr)
             return 2
@@ -264,16 +286,16 @@ def _cmd_elliptic(args) -> int:
     return 0 if passed == total else 1
 
 
-def _int_at_least(least: int):
-    """An argparse type: an int no smaller than least."""
+def _at_least(least: int, kind=int):
+    """An argparse type: a finite int (or float) no smaller than least."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, not {value}")
+    def parse(text: str):
+        value = kind(text)
+        if not least <= value < math.inf:  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {least}, not {text}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -297,7 +319,7 @@ def cli_main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run the axiom sweep on a GroupFile")
     p.add_argument("group", help="GroupFile path ('-' = stdin)")
-    p.add_argument("--max-violations", type=_int_at_least(0), default=20)
+    p.add_argument("--max-violations", type=_at_least(0), default=20)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("classify", help="print the isomorphism-class label")
@@ -309,7 +331,7 @@ def cli_main(argv=None) -> int:
     p.add_argument("right")
     p.add_argument("--witness", action="store_true",
                    help="also print an explicit isomorphism")
-    p.add_argument("--budget", type=_int_at_least(0), default=10_000_000,
+    p.add_argument("--budget", type=_at_least(0), default=10_000_000,
                    help="node budget for the witness search")
     p.set_defaults(fn=_cmd_iso)
 
@@ -320,7 +342,7 @@ def cli_main(argv=None) -> int:
                       help="drop the involutivity/commutativity restriction")
     mode.add_argument("--involutive-commutative", action="store_true",
                       help="restrict to involutive commutative groups (the default)")
-    p.add_argument("--budget", type=_int_at_least(0), default=None,
+    p.add_argument("--budget", type=_at_least(0), default=None,
                    help="search node budget (default 50M from size 6 on)")
     p.add_argument("--json", action="store_true",
                    help="also print each group as a GroupFile")
@@ -329,8 +351,8 @@ def cli_main(argv=None) -> int:
     p = sub.add_parser("elliptic", help="check the algebraic addition law numerically")
     p.add_argument("--params", default=None, metavar="A1,A2,A3",
                    help="law parameters as three complex numbers (default: random per sample)")
-    p.add_argument("--samples", type=_int_at_least(1), default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--samples", type=_at_least(1), default=100)
+    p.add_argument("--tol", type=_at_least(0, float), default=1e-6)
     p.add_argument("--seed", type=int, default=20240801)
     p.set_defaults(fn=_cmd_elliptic)
 

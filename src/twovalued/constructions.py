@@ -184,6 +184,12 @@ class InvolutiveAutomorphism:
         return cls(A, tuple(A.index(f(A.element(i))) for i in range(A.size)))
 
 
+def _reserve_table(n: int) -> None:
+    """Allocate an n x n index table and drop it: a size that does not fit
+    fails here, before the automorphism checks run over the larger A."""
+    np.empty((n, n), dtype=index_dtype(n))
+
+
 def coset_group(A: FinAbelianGroup, iota: InvolutiveAutomorphism) -> TwoValuedGroup:
     """The orbit space A/iota with [g]*[h] = [[g+h], [g+iota(h)]].
 
@@ -218,6 +224,8 @@ def principal(*chain: int) -> TwoValuedGroup:
         if b % a != 0:
             raise ValueError(f"chain {chain} is not ordered by divisibility")
     A = FinAbelianGroup(tuple(chain))
+    # negation fixes the 2^r elements of order <= 2, r the even factors
+    _reserve_table((A.size + 2 ** sum(d % 2 == 0 for d in chain)) // 2)
     return coset_group(A, InvolutiveAutomorphism.negation(A))
 
 
@@ -230,6 +238,7 @@ def unipotent(n: int) -> TwoValuedGroup:
     if n < 1:
         raise ValueError("rank must be >= 1")
     A = FinAbelianGroup((2,) * (2 * n))
+    _reserve_table(2 ** (2 * n - 1) + 2 ** (n - 1))  # iota fixes the 2^n (0, b)
     # the index is the bit string a|b, first n coordinates a (high bits) and
     # last n coordinates b; iota(a, b) = (a, a + b) xors a into the low bits
     g = np.arange(A.size)

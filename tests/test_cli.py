@@ -324,6 +324,19 @@ class TestElliptic:
         code, _, err = run(capsys, "elliptic", "--params", "1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.5", "x"])
+    def test_bad_tolerance_is_usage_error(self, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["elliptic", "--samples", "3", f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_zero_tolerance_is_valid(self, capsys):
+        # the comparison adds an absolute tolerance of its own
+        code, out, _ = run(capsys, "elliptic", "--samples", "3", "--tol", "0")
+        assert code == 0
+        assert "3/3" in out
+
 
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -369,11 +382,13 @@ def test_oversized_construct_fails_with_exit_two():
 
 @pytest.mark.parametrize(
     "argv",
-    [["--special", "40"], ["--principal", "2", "-m", "40"]],
-    ids=["special40", "principal2_m40"],
+    [["--special", "40"], ["--principal", "2", "-m", "40"],
+     ["--unipotent", "11"], ["--unipotent", "12"]],
+    ids=["special40", "principal2_m40", "unipotent11", "unipotent12"],
 )
 def test_huge_construct_fails_fast(argv):
-    # the table is allocated before the 2^40 element names are built, so
+    # the table is allocated before the 2^40 element names are built, or
+    # before the automorphism checks over the 4^rank underlying elements, so
     # numpy refuses at once; the child caps its own address space at 2 GiB,
     # and the timeout makes a hang fail the test instead of stalling it
     import resource
@@ -405,6 +420,19 @@ def test_non_string_cell_entry_is_parse_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cell (0,0)")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_non_integer_format_version_is_parse_error(version, tmp_path, capsys):
+    # True == 1 and 1.0 == 1 in Python, but only the JSON integer 1 is valid
+    doc = json.loads(group_to_json(principal(5)))
+    doc["format_version"] = version
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert err.startswith("error: unsupported format_version")
+    assert "Traceback" not in err
 
 
 def test_deeply_nested_group_file_is_parse_error(tmp_path):
