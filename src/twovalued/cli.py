@@ -12,7 +12,8 @@ GroupFile is a small JSON document:
 The identity must be listed first; cells are 2-element arrays of element
 names.  write_group emits a canonical form (cells ordered by element index,
 2-space indent, trailing newline) so read/write round trips are
-byte-stable.
+byte-stable.  Both go straight between the text and the lo/hi index arrays:
+the reader checks each cell once, and the writer builds no Pair view.
 
 Each command imports only the submodules it runs.  enumerate_all and
 BudgetExceeded live in twovalued.enumeration; a module __getattr__
@@ -63,24 +64,28 @@ def __getattr__(name: str):
 
 
 def group_to_json(X: TwoValuedGroup) -> str:
-    """Canonical GroupFile text for a group."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "elements": list(X.names),
-        "identity": X.names[X.identity],
-        "table": [
-            [[X.names[p.lo], X.names[p.hi]] for p in row] for row in X.table
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical GroupFile text: json.dumps(doc, indent=2) + "\n" for the
+    GroupFile document, put together from the lo/hi rows, as CPython's json
+    encoder is pure Python once indent is set."""
+    names = [json.dumps(s) for s in X.names]
+    opening = [f"      [\n        {q},\n        " for q in names]
+    closing = [f"{q}\n      ]" for q in names]
+    rows = ",\n".join(
+        "    [\n" + ",\n".join(map(str.__add__, map(opening.__getitem__, lr.tolist()),
+                                  map(closing.__getitem__, hr.tolist()))) + "\n    ]"
+        for lr, hr in zip(X.lo, X.hi)
+    )
+    elements = ",\n    ".join(names)
+    return (f'{{\n  "format_version": {FORMAT_VERSION},\n  "elements": [\n    {elements}\n  ],\n'
+            f'  "identity": {names[X.identity]},\n  "table": [\n{rows}\n  ]\n}}\n')
 
 
 def group_from_json(text: str) -> TwoValuedGroup:
-    from .core import Pair, TwoValuedGroup
+    from .core import TwoValuedGroup
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("not valid JSON: nested too deeply") from None
@@ -106,34 +111,29 @@ def group_from_json(text: str) -> TwoValuedGroup:
     if not isinstance(table, list) or len(table) != n:
         raise NonSquareTable(f"table must have {n} rows")
     idx = {s: i for i, s in enumerate(elements)}
-    rows = []
+    cells = []
     for i, row in enumerate(table):
         if not isinstance(row, list) or len(row) != n:
             raise NonSquareTable(f"row {i} must have {n} cells")
-        cells = []
         for j, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(isinstance(c, str) and c in idx for c in cell)
-            ):
+            try:
+                a, b = cell if isinstance(cell, list) else ()
+                cells += idx[a], idx[b]  # KeyError or TypeError unless both are names
+            except (TypeError, ValueError, KeyError):
                 raise ParseError(
                     f"cell ({i},{j}) must be a 2-element list of element names"
-                )
-            cells.append(Pair.of(idx[cell[0]], idx[cell[1]]))
-        rows.append(tuple(cells))
-    return TwoValuedGroup(names=tuple(elements), table=tuple(rows))
+                ) from None
+    return TwoValuedGroup.from_pairs(elements, cells)
 
 
 def read_group(path: str) -> TwoValuedGroup:
-    """Read a GroupFile; '-' reads stdin."""
-    if path == "-":
-        return group_from_json(sys.stdin.read())
+    """Read a GroupFile, UTF-8 JSON text; '-' reads stdin."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return group_from_json(fh.read())
-    except OSError as exc:
+        with open(0 if path == "-" else path, encoding="utf-8", closefd=path != "-") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    return group_from_json(text)
 
 
 def write_group(X: TwoValuedGroup, path: str):
@@ -247,15 +247,12 @@ def _cmd_enumerate(args) -> int:
         return 0
     mode = "two-valued groups" if args.all else "involutive commutative two-valued groups"
     print(f"found {len(groups)} {mode} of size {args.size}")
-    for i, X in enumerate(groups):
-        if args.all:
-            desc = json.dumps(
-                [[[X.names[p.lo], X.names[p.hi]] for p in row] for row in X.table],
-                separators=(",", ":"),
-            )
+    for i, X in enumerate(groups, 1):
+        if args.all:  # the GroupFile's table on one line
+            desc = json.dumps(json.loads(group_to_json(X))["table"], separators=(",", ":"))
         else:
             desc = str(classify(X))
-        print(f"{i + 1}: {desc}")
+        print(f"{i}: {desc}")
     return 0
 
 

@@ -184,10 +184,13 @@ class InvolutiveAutomorphism:
         return cls(A, tuple(A.index(f(A.element(i))) for i in range(A.size)))
 
 
-def _reserve_table(n: int) -> None:
-    """Allocate an n x n index table and drop it: a size that does not fit
-    fails here, before the automorphism checks run over the larger A."""
-    np.empty((n, n), dtype=index_dtype(n))
+def _reserve_table(group: str, n: int) -> np.ndarray:
+    """An uninitialised n x n index table for the named group: MemoryError
+    here when it cannot fit, before the work that grows with the group."""
+    try:
+        return np.empty((n, n), dtype=index_dtype(n))
+    except (MemoryError, ValueError):  # ValueError: the byte count overflows
+        raise MemoryError(f"the table of {group}, {n:,} elements, does not fit") from None
 
 
 def coset_group(A: FinAbelianGroup, iota: InvolutiveAutomorphism) -> TwoValuedGroup:
@@ -210,7 +213,9 @@ def coset_group(A: FinAbelianGroup, iota: InvolutiveAutomorphism) -> TwoValuedGr
     g = reps[:, None]
     z1 = orbit_of[A._add_indices(g, reps)]
     z2 = orbit_of[A._add_indices(g, p[reps])]
-    names = tuple(map(A.name_of, reps.tolist()))
+    # A.name_of of each representative, from one column of digits per factor
+    digits = [(reps // place % d).astype(str).tolist() for d, place in zip(A.factors, A._places())]
+    names = tuple(map(",".join, zip(*digits))) if digits else ("0",)
     return TwoValuedGroup.from_arrays(names, np.minimum(z1, z2), np.maximum(z1, z2))
 
 
@@ -225,7 +230,8 @@ def principal(*chain: int) -> TwoValuedGroup:
             raise ValueError(f"chain {chain} is not ordered by divisibility")
     A = FinAbelianGroup(tuple(chain))
     # negation fixes the 2^r elements of order <= 2, r the even factors
-    _reserve_table((A.size + 2 ** sum(d % 2 == 0 for d in chain)) // 2)
+    _reserve_table(f"principal({','.join(map(str, chain))})",
+                   (A.size + 2 ** sum(d % 2 == 0 for d in chain)) // 2)
     return coset_group(A, InvolutiveAutomorphism.negation(A))
 
 
@@ -238,7 +244,7 @@ def unipotent(n: int) -> TwoValuedGroup:
     if n < 1:
         raise ValueError("rank must be >= 1")
     A = FinAbelianGroup((2,) * (2 * n))
-    _reserve_table(2 ** (2 * n - 1) + 2 ** (n - 1))  # iota fixes the 2^n (0, b)
+    _reserve_table(f"unipotent({n})", 2 ** (2 * n - 1) + 2 ** (n - 1))  # iota fixes the 2^n (0, b)
     # the index is the bit string a|b, first n coordinates a (high bits) and
     # last n coordinates b; iota(a, b) = (a, a + b) xors a into the low bits
     g = np.arange(A.size)
@@ -263,8 +269,7 @@ def special_series(n: int) -> TwoValuedGroup:
     nv = 2 ** n
     s = nv  # index of the extra element
     size = nv + 1
-    # the table first: a size that does not fit fails here, before the names
-    lo = np.empty((size, size), dtype=index_dtype(size))
+    lo = _reserve_table(f"special_series({n})", size)
     # V x V: x*y = [x+y, x+y], the xor of the masks (e doubles, x*x = [e, .])
     lo[:nv, :nv] = np.bitwise_xor.outer(np.arange(nv), np.arange(nv))
     # row and column of s: s*e = [s, s], s*x = [x, x], s*s = [e, e]
@@ -274,12 +279,8 @@ def special_series(n: int) -> TwoValuedGroup:
     hi = lo.copy()
     x = np.arange(1, nv)
     hi[x, x] = s  # x*x = [e, s]
-    names = ["e", *("".join(map(str, _bits(v, n))) for v in range(1, nv)), "s"]
+    names = ["e", *(format(v, f"0{n}b") for v in range(1, nv)), "s"]
     return TwoValuedGroup.from_arrays(names, lo, hi)
-
-
-def _bits(v: int, n: int) -> tuple[int, ...]:
-    return tuple((v >> (n - 1 - k)) & 1 for k in range(n))
 
 
 def product_with_boolean(X: TwoValuedGroup, m: int) -> TwoValuedGroup:
@@ -301,7 +302,8 @@ def product_with_boolean(X: TwoValuedGroup, m: int) -> TwoValuedGroup:
     shift = shift[:, None, :, None]  # (w1, ., w2, .) -> (w1 ^ w2) * n
     lo = (shift + X.lo.astype(dt)[:, None, :]).reshape(n * nw, n * nw)
     hi = (shift + X.hi.astype(dt)[:, None, :]).reshape(n * nw, n * nw)
-    names = [f"{X.names[x]}|{''.join(map(str, _bits(w, m)))}" for w in range(nw) for x in range(n)]
+    bits = [format(w, f"0{m}b") for w in range(nw)]  # the coordinates of each w
+    names = [f"{x}|{b}" for b in bits for x in X.names]
     return TwoValuedGroup.from_arrays(names, lo, hi)
 
 

@@ -247,13 +247,12 @@ class TwoValuedGroup:
         return f"TwoValuedGroup(names={self.names!r}, table={self.table!r})"
 
     @classmethod
-    def from_pairs(
-        cls,
-        names: Sequence[str],
-        cells: Sequence[Sequence[tuple[int, int]]],
-    ) -> "TwoValuedGroup":
-        table = tuple(tuple(Pair.of(a, b) for (a, b) in row) for row in cells)
-        return cls(names=tuple(names), table=table)
+    def from_pairs(cls, names: Sequence[str], cells) -> "TwoValuedGroup":
+        """The group whose product i*j is the pair cells[i][j] = (a, b) of
+        indices in either order; cells may also list the 2n^2 indices flat."""
+        n = len(names)
+        a, b = np.moveaxis(np.reshape(cells, (n, n, 2)), 2, 0)
+        return cls.from_arrays(names, np.minimum(a, b), np.maximum(a, b))
 
     def __len__(self) -> int:
         return len(self.names)

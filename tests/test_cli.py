@@ -1,5 +1,7 @@
 """GroupFile serialization and the command-line front end."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twovalued
 from twovalued.cli import (
@@ -21,9 +24,10 @@ from twovalued.cli import (
     read_group,
     write_group,
 )
-from twovalued.classify import classify
-from twovalued.constructions import principal, special_series, unipotent
-from twovalued.core import MAX_WITNESSES_PER_TAG, TwoValuedGroup, verify_axioms
+from test_structure_oracle import relabel
+from twovalued.classify import all_labels_of_size, classify, realize
+from twovalued.constructions import principal, product_with_boolean, special_series, unipotent
+from twovalued.core import MAX_WITNESSES_PER_TAG, Pair, TwoValuedGroup, verify_axioms
 
 
 class TestSerialization:
@@ -89,6 +93,85 @@ class TestSerialization:
         write_group(unipotent(2), path)
         Y = read_group(path)
         assert Y.table == unipotent(2).table
+
+
+def reference_to_json(X: TwoValuedGroup) -> str:
+    """The GroupFile writer as json.dumps of the document, from the Pair
+    view: the canonical form group_to_json must reproduce byte for byte."""
+    doc = {
+        "format_version": 1,
+        "elements": list(X.names),
+        "identity": X.names[X.identity],
+        "table": [
+            [[X.names[p.lo], X.names[p.hi]] for p in row] for row in X.table
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_from_json(text: str) -> TwoValuedGroup:
+    """A valid GroupFile read into Pair cells and the table= constructor."""
+    doc = json.loads(text)
+    idx = {s: i for i, s in enumerate(doc["elements"])}
+    table = [[Pair.of(idx[a], idx[b]) for a, b in row] for row in doc["table"]]
+    return TwoValuedGroup(names=doc["elements"], table=table)
+
+
+def labelled_groups(relabelled=True):
+    """Every class of size 1 to 59, as constructed and, unless relabelled
+    is False, with its non-identity elements permuted."""
+    for k in range(1, 60):
+        for i, label in enumerate(sorted(all_labels_of_size(k), key=str)):
+            X = realize(label)
+            yield X
+            if relabelled and k > 2:
+                yield relabel(X, seed=k * 100 + i)[0]
+
+
+class TestArrayGroupFiles:
+    def test_writer_matches_json_dumps(self):
+        for X in labelled_groups():
+            text = group_to_json(X)
+            assert text == reference_to_json(X)
+            assert group_to_json(group_from_json(text)) == text
+
+    def test_writer_escapes_names_like_json_dumps(self):
+        names = ["e", 'a"b', "c\\d", "\u00e9", "tab\there", "\U0001d11e"]
+        X = TwoValuedGroup.from_arrays(names, principal(2, 4).lo, principal(2, 4).hi)
+        text = group_to_json(X)
+        assert text == reference_to_json(X)
+        assert group_from_json(text) == X
+
+    def test_reader_matches_pair_reference(self):
+        for X in labelled_groups(relabelled=False):
+            doc = json.loads(group_to_json(X))
+            # every other cell with its names swapped, which the reader sorts
+            doc["table"] = [
+                [cell[::-1] if (i + j) % 2 else cell for j, cell in enumerate(row)]
+                for i, row in enumerate(doc["table"])
+            ]
+            text = json.dumps(doc)
+            assert group_from_json(text) == reference_from_json(text) == X
+
+    def test_group_file_path_builds_no_pair_view(self, capsys, monkeypatch):
+        X = special_series(3)
+        Y = group_from_json(group_to_json(X))
+        assert "table" not in vars(X)
+        assert "table" not in vars(Y)
+        groups = []  # the groups the listing names its cells from
+
+        def kept(*args, **kwargs):
+            groups.extend(enumerate_all(*args, **kwargs))
+            return groups
+
+        monkeypatch.setattr(twovalued.enumeration, "enumerate_all", kept)
+        assert cli_main(["enumerate", "3", "--all"]) == 0
+        listing = capsys.readouterr().out.splitlines()[1:]
+        assert len(listing) == len(groups) == 4
+        for X, line in zip(groups, listing):
+            assert "table" not in vars(X)
+            cells = json.loads(line.split(": ", 1)[1])
+            assert cells == json.loads(reference_to_json(X))["table"]
 
 
 def run(capsys, *argv):
@@ -381,12 +464,17 @@ def test_oversized_construct_fails_with_exit_two():
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--special", "40"], ["--principal", "2", "-m", "40"],
-     ["--unipotent", "11"], ["--unipotent", "12"]],
-    ids=["special40", "principal2_m40", "unipotent11", "unipotent12"],
+    "argv, group",
+    [(["--special", "40"], "special_series(40), 1,099,511,627,777 elements"),
+     (["--principal", "2", "-m", "40"], None),
+     (["--unipotent", "11"], "unipotent(11), 2,098,176 elements"),
+     (["--unipotent", "12"], "unipotent(12), 8,390,656 elements"),
+     (["--unipotent", "20"], "unipotent(20), 549,756,338,176 elements"),
+     (["--principal", "1048576,1048576"], "principal(1048576,1048576), 549,755,813,890 elements")],
+    ids=["special40", "principal2_m40", "unipotent11", "unipotent12", "unipotent20",
+         "principal2^20x2^20"],
 )
-def test_huge_construct_fails_fast(argv):
+def test_huge_construct_fails_fast(argv, group):
     # the table is allocated before the 2^40 element names are built, or
     # before the automorphism checks over the 4^rank underlying elements, so
     # numpy refuses at once; the child caps its own address space at 2 GiB,
@@ -400,6 +488,8 @@ def test_huge_construct_fails_fast(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+    if group is not None:
+        assert proc.stderr == f"error: out of memory (the table of {group}, does not fit)\n"
 
 
 def _cli_child(*argv, timeout=300, **kwargs):
@@ -435,6 +525,17 @@ def test_non_integer_format_version_is_parse_error(version, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_utf8_group_file_is_parse_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + group_to_json(principal(5)).encode("utf-16-le"))
+    for arg in (str(path), "-"):
+        with open(path, "rb") as fh:
+            proc = _cli_child("verify", arg, stdin=fh, stdout=subprocess.PIPE)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: cannot read {arg}: 'utf-8' codec can't decode")
+        assert len(proc.stderr.splitlines()) == 1
+
+
 def test_deeply_nested_group_file_is_parse_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)
@@ -442,6 +543,93 @@ def test_deeply_nested_group_file_is_parse_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+FUZZ_GROUPS = [principal(5), special_series(2), principal(2, 4), product_with_boolean(principal(3), 2)]
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 300), st.floats(allow_nan=False),
+    st.text(max_size=3), st.lists(st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def fuzz_group_file(draw) -> bytes:
+    """A GroupFile of a group of at most 8 elements with one mutation."""
+    doc = json.loads(group_to_json(draw(st.sampled_from(FUZZ_GROUPS))))
+    n = len(doc["elements"])
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    row, cell = doc["table"][i], doc["table"][i][j]
+    name = st.sampled_from(doc["elements"])
+    kind = draw(st.sampled_from([
+        "type", "ragged", "cell size", "element name", "cell name", "version",
+        "missing key", "truncated", "not utf-8",
+    ]))
+    if kind == "type":  # a value of another JSON type at some level
+        junk = draw(JUNK)
+        where = draw(st.sampled_from(["doc", "key", "row", "cell", "entry", "element"]))
+        if where == "doc":
+            doc = junk
+        elif where == "key":
+            doc[draw(st.sampled_from(sorted(doc)))] = junk
+        elif where == "row":
+            doc["table"][i] = junk
+        elif where == "cell":
+            row[j] = junk
+        elif where == "entry":
+            cell[draw(st.integers(0, 1))] = junk
+        else:
+            doc["elements"][i] = junk
+    elif kind == "ragged":
+        if draw(st.booleans()):
+            del row[j]
+        else:
+            row.append(cell)
+    elif kind == "cell size":
+        row[j] = draw(st.lists(name, min_size=0, max_size=3).filter(lambda c: len(c) != 2))
+    elif kind == "element name":  # unknown to the table, or a duplicate
+        doc["elements"][i] = draw(st.one_of(st.text(max_size=3), name))
+    elif kind == "cell name":
+        cell[draw(st.integers(0, 1))] = draw(st.text(max_size=3))
+    elif kind == "missing key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
+    if kind == "version":
+        version = draw(st.sampled_from(["true", "1.0", '"1"', "2", "1" * 5000]))
+        text = text.replace('"format_version": 1', '"format_version": ' + version)
+    data = text.encode()
+    if kind == "truncated":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif kind == "not utf-8":
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[k:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "g.json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_group_files_fail_cleanly(data, fuzz_path):
+    with open(fuzz_path, "wb") as fh:
+        fh.write(fuzz_group_file(data.draw))
+    try:
+        read_group(fuzz_path)
+        parses = True
+    except ParseError:
+        parses = False
+    for command in ("verify", "classify"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main([command, fuzz_path])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if not parses:
+            assert code == 1
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import sweep_labels
+from twovalued.classify import all_labels_of_size, realize
 from twovalued.constructions import (
     FinAbelianGroup,
     principal,
@@ -139,6 +140,29 @@ def test_sweep_constructions_match_reference():
 )
 def test_large_constructions_match_reference(kind, param):
     assert_matches(*build(kind, param, 0))
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_product_with_boolean_matches_reference(m):
+    assert_matches(*build("principal", (3, 3), m))
+
+
+def reference_label_names(label):
+    """The element names of realize(label), built one element at a time."""
+    if label.kind == "principal":
+        A = FinAbelianGroup(label.chain)
+        return tuple(A.name_of(r) for r in range(A.size) if r <= A.neg(r))
+    series = reference_unipotent if label.kind == "unipotent" else reference_special_series
+    names = series(label.n)[0]
+    return tuple(
+        f"{x}|{''.join(map(str, _bits(w, label.m)))}" for w in range(2**label.m) for x in names
+    ) if label.m else names
+
+
+def test_label_names_match_reference():
+    for k in range(1, 60):
+        for label in all_labels_of_size(k):
+            assert realize(label).names == reference_label_names(label), label
 
 
 def test_tables_are_read_only():
