@@ -41,7 +41,6 @@ from .structure import _mismatches, _special_pairs, split_direct_factor
 
 __all__ = [
     "ClassLabel",
-    "GroupTable",
     "ReconstructionResult",
     "NonUniquePair",
     "NotAssociative",
@@ -215,18 +214,6 @@ def all_labels_of_size(k: int) -> set[ClassLabel]:
     return {lab for lab in labels if lab.size() == k}
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """A single-valued finite group as an index table with identity 0."""
-
-    table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] = ()
-
-    @property
-    def size(self) -> int:
-        return len(self.table)
-
-
 def _table_chain(t: np.ndarray) -> tuple[int, ...]:
     """Invariant-factor chain of the abelian group with n x n index table
     t, after checking the group axioms on it: NotAbelian or
@@ -239,7 +226,7 @@ def _table_chain(t: np.ndarray) -> tuple[int, ...]:
     bad = np.flatnonzero((np.sort(t, axis=1) != every).any(axis=1))
     if len(bad):
         raise NotAbelian(f"row {bad[0]} is not a permutation")
-    t = t.astype(index_dtype(n))
+    t = t.astype(index_dtype(n), copy=False)
     if not np.array_equal(t, t.T):
         raise NotAbelian("multiplication is not commutative")
     # Light's test: the g with (xg)y = x(gy) for all x, y are closed under
@@ -260,24 +247,31 @@ def _table_chain(t: np.ndarray) -> tuple[int, ...]:
 
 def invariant_factors(G) -> tuple[int, ...]:
     """Invariant-factor chain (d1 | d2 | ... | dk) of a finite abelian group
-    given by an explicit multiplication table (or a FinAbelianGroup).
+    given by a FinAbelianGroup or by its n x n index table, an integer array
+    with identity 0 (such as ReconstructionResult.table).  NotAbelian or
+    NotAssociative when the table is no abelian group.
 
     Works by order counting: for each prime p, the number of elements whose
     order divides p^j determines the partition of the p-primary component.
     """
     if isinstance(G, FinAbelianGroup):
         return merge_chains(G.factors, ())
-    return _table_chain(np.array(G.table, dtype=np.intp).reshape(G.size, G.size))
+    t = np.asarray(G)
+    if t.ndim != 2 or len(t) != t.shape[1] or t.dtype.kind not in "iu":
+        raise ValueError(f"a group table is a square integer array, not {t.dtype} of {t.shape}")
+    return _table_chain(t)
 
 
 @dataclass
 class ReconstructionResult:
     """Output of reconstruct_abelian: the abelian group in invariant-factor
-    form, the raw reconstructed table on pairs (x, p), and bookkeeping."""
+    form, the reconstructed table on the pairs (x, p) as a read-only index
+    array, a label per pair, and bookkeeping."""
 
     abelian: FinAbelianGroup
     chain: tuple[int, ...]
-    table: GroupTable
+    table: np.ndarray
+    labels: tuple[str, ...]
     t: int
     pairs: tuple[tuple[int, int], ...]
 
@@ -329,7 +323,7 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
         """z in u*v, cellwise, for cell = (lo, hi) gathered at (u, v)."""
         return (cell[0] == z) | (cell[1] == z)
 
-    table = np.empty((na, na), dtype=np.intp)
+    table = np.empty((na, na), dtype=index_dtype(na))
     step = max(1, (1 << 16) // na)  # rows per block of about 64K cells
     for a0 in range(0, na, step):
         rows = slice(a0, a0 + step)
@@ -354,15 +348,13 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
             raise NonUniquePair(f"product of {pairs[a0 + i]} and {pairs[j]}: candidates {found}")
         table[rows] = sum(np.where(ok, pos, 0) for ok, _, _, pos in hits)
 
-    G = GroupTable(
-        table=tuple(map(tuple, table.tolist())),
-        labels=tuple(f"({X.names[x]};{X.names[p]})" for x, p in pairs),
-    )
     # (0, t) sits at index 0 because t*e = [t, t] contributes exactly one
     # pair; _table_chain checks the group axioms on the table
     chain = _table_chain(table)
+    table.flags.writeable = False
+    labels = tuple(f"({X.names[x]};{X.names[p]})" for x, p in pairs)
     return ReconstructionResult(
-        abelian=FinAbelianGroup(chain), chain=chain, table=G, t=t, pairs=pairs
+        abelian=FinAbelianGroup(chain), chain=chain, table=table, labels=labels, t=t, pairs=pairs
     )
 
 

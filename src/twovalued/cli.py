@@ -23,6 +23,7 @@ re-exports them here for existing importers.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -83,12 +84,19 @@ def group_to_json(X: TwoValuedGroup) -> str:
 def group_from_json(text: str) -> TwoValuedGroup:
     from .core import TwoValuedGroup
 
+    # the cyclic collector would run many times over the millions of lists
+    # that json.loads allocates, and they hold no cycles
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("not valid JSON: nested too deeply") from None
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     version = doc.get("format_version")

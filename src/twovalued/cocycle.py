@@ -10,7 +10,8 @@ the same order spectrum.
 F2 vectors are Python ints used as bitmasks, with coordinate 0 the most
 significant bit of `dim` bits, so integer order coincides with lexicographic
 order on coordinate tuples and the canonical (lex smallest) coset
-representative is plain min().  vec_to_tuple / tuple_to_vec convert.
+representative is plain min().  vec_to_tuple / tuple_to_vec convert.  A
+quasi-cocycle is stored as the 2^dim x 2^dim array of its canonical values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TwoValuedGroup, _orders, _powers
-from .structure import _f2_rank, _sign_forms, boolean_subgroup, is_special, squares_subgroup
+from .structure import _f2_pivots, _sign_forms, boolean_subgroup, is_special, squares_subgroup
 
 __all__ = [
     "QuasiCocycle",
@@ -29,8 +30,6 @@ __all__ = [
     "InvalidCocycle",
     "vec_to_tuple",
     "tuple_to_vec",
-    "f2_span",
-    "canonical_rep",
     "apply_linear",
     "linear_rank",
     "validate_quasicocycle",
@@ -63,24 +62,6 @@ def tuple_to_vec(bits) -> int:
     return v
 
 
-def f2_span(vectors) -> frozenset[int]:
-    """All F2-linear combinations of the given bitmask vectors."""
-    span = {0}
-    for v in vectors:
-        if v not in span:
-            span |= {v ^ s for s in span}
-    return frozenset(span)
-
-
-def canonical_rep(w: int, span) -> int:
-    """Lex-smallest element of the coset w + span."""
-    return min(w ^ s for s in span)
-
-
-def _pair_span(u: int, v: int) -> tuple[int, ...]:
-    return (0, u, v, u ^ v)
-
-
 def apply_linear(M, v: int) -> int:
     """Apply the linear map sending basis vector i to M[i]."""
     dim = len(M)
@@ -96,52 +77,62 @@ def linear_rank(vectors, dim: int) -> int:
     vectors = list(vectors)
     if not all(0 <= v < 1 << dim for v in vectors):
         raise ValueError(f"vectors must lie in [0, 2**{dim})")
-    return _f2_rank(vectors)
+    return len(_f2_pivots(vectors))
 
 
-@dataclass(frozen=True)
+def _canonical(w) -> np.ndarray:
+    """The canonical representative of each w[u, v] modulo span(u, v),
+    min(w, w^u, w^v, w^u^v), as a read-only uint32 array."""
+    w = np.asarray(w, dtype=np.int64)
+    u, v = np.ogrid[: len(w), : len(w)]
+    out = np.minimum.reduce([w, w ^ u, w ^ v, w ^ u ^ v]).astype(np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class QuasiCocycle:
     """A map phi on pairs of F2 vectors, with values defined modulo
     span(u, v) and stored as the canonical coset representative.
 
-    values has an entry for every ordered pair of dim-bit vectors.  The value
-    space equals the domain space (a deliberate simplification: every
-    operation in this library preserves that, including restriction, which
-    re-expresses values in subspace coordinates).
+    values[u, v] = phi(u, v) for every ordered pair of dim-bit vectors, a
+    2^dim x 2^dim unsigned array.  The value space equals the domain space
+    (a deliberate simplification: every operation in this library preserves
+    that, including restriction, which re-expresses values in subspace
+    coordinates).
     """
 
     dim: int
-    values: dict
+    values: np.ndarray
 
     def phi(self, u: int, v: int) -> int:
-        return self.values[(u, v)]
+        return int(self.values[u, v])
+
+    def __eq__(self, other):
+        if not isinstance(other, QuasiCocycle):
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.values, other.values)
 
     @classmethod
     def from_function(cls, dim: int, fn) -> "QuasiCocycle":
         n = 1 << dim
-        values = {}
-        for u in range(n):
-            for v in range(n):
-                values[(u, v)] = canonical_rep(fn(u, v), _pair_span(u, v))
-        return cls(dim=dim, values=values)
+        return cls(dim, _canonical([[fn(u, v) for v in range(n)] for u in range(n)]))
 
     def as_tuples(self) -> dict:
         """values keyed/valued by coordinate tuples, for display."""
-        d = self.dim
-        return {
-            (vec_to_tuple(u, d), vec_to_tuple(v, d)): vec_to_tuple(w, d)
-            for (u, v), w in self.values.items()
-        }
+        vecs = [vec_to_tuple(v, self.dim) for v in range(1 << self.dim)]
+        return {(vecs[u], vecs[v]): vecs[w] for (u, v), w in np.ndenumerate(self.values)}
 
 
 def trivial_cocycle(dim: int) -> QuasiCocycle:
-    return QuasiCocycle.from_function(dim, lambda u, v: 0)
+    return QuasiCocycle(dim, _canonical(np.zeros((1 << dim, 1 << dim), dtype=np.int64)))
 
 
 def phi_basis(dim: int) -> QuasiCocycle:
     """The coordinatewise-AND quasi-cocycle; its class generates the
     cohomology group in every dimension >= 3."""
-    return QuasiCocycle.from_function(dim, lambda u, v: u & v)
+    u, v = np.ogrid[: 1 << dim, : 1 << dim]
+    return QuasiCocycle(dim, _canonical(u & v))
 
 
 def validate_quasicocycle(
@@ -157,38 +148,29 @@ def validate_quasicocycle(
         phi(u,v) + phi(u+v,w) + phi(u,v+w) + phi(v,w)  in  span(u,v,w)
     for all triples.  Symmetry (phi(u,v) = phi(v,u) mod span(u,v)) and
     involutivity (phi(u,u) = e mod span(u)) are on by default.  The checks
-    are independent of coset representatives.  O(8^dim).
+    are independent of coset representatives, but values other than a
+    2^dim x 2^dim integer array of canonical representatives fail.  O(8^dim)
+    time and memory.
     """
     n = 1 << phi.dim
-    val = phi.values
-    if set(val) != {(u, v) for u in range(n) for v in range(n)}:
+    val = np.asarray(phi.values)
+    if val.shape != (n, n) or val.dtype.kind not in "iu" or not ((val >= 0) & (val < n)).all():
         return False
-    for (u, v), w in val.items():
-        if canonical_rep(w, _pair_span(u, v)) != w:
-            return False
-    for u in range(n):
-        if val[(0, u)] != 0 or val[(u, 0)] != 0:
-            return False
-        if require_involutive and val[(u, u)] != 0:
-            return False
-    if require_symmetric:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if val[(u, v)] != val[(v, u)]:
-                    return False
-    for u in range(n):
-        for v in range(n):
-            puv = val[(u, v)]
-            uv = u ^ v
-            for w in range(n):
-                acc = puv ^ val[(uv, w)] ^ val[(u, v ^ w)] ^ val[(v, w)]
-                if acc == 0:
-                    continue
-                # membership in span(u, v, w) without building a set
-                if acc in (u, v, w, u ^ v, u ^ w, v ^ w, u ^ v ^ w):
-                    continue
-                return False
-    return True
+    if not np.array_equal(_canonical(val), val):
+        return False
+    if val[0].any() or val[:, 0].any():
+        return False
+    if require_involutive and val.diagonal().any():
+        return False
+    if require_symmetric and not np.array_equal(val, val.T):
+        return False
+    u, v, w = np.ogrid[:n, :n, :n]
+    acc = val[u, v] ^ val[u ^ v, w] ^ val[u, v ^ w] ^ val[v, w]
+    # span(u, v, w) = {s, s + w : s in span(u, v)}
+    ok = np.zeros(acc.shape, dtype=bool)
+    for s in (0, u, v, u ^ v):
+        ok |= (acc == s) | (acc == s ^ w)
+    return bool(ok.all())
 
 
 @dataclass(frozen=True)
@@ -261,10 +243,8 @@ def extract_quasicocycle(X: TwoValuedGroup) -> ExtractionData:
         raise PreconditionViolated(
             f"V does not act transitively on the orbit of {X.names[lost[0]]}"
         )
-    phi_values = vec[np.argmax(hits, axis=0)].tolist()
+    phi = QuasiCocycle(dim, _canonical(vec[np.argmax(hits, axis=0)]))
     reps = dict(enumerate(reps.tolist()))
-
-    phi = QuasiCocycle.from_function(dim, lambda u, v: phi_values[u][v])
     return ExtractionData(
         group=X, dim=dim, coords=coords, representatives=reps, phi=phi
     )
@@ -283,7 +263,7 @@ def _lambda_table(phi: QuasiCocycle) -> dict[frozenset, int]:
             if u == v:
                 continue
             key = frozenset({u, v, u ^ v})
-            bit = 0 if phi.phi(u, v) in _pair_span(u, v) else 1
+            bit = int(phi.values[u, v] != 0)  # canonical: 0 iff in span(u, v)
             if key in lam and lam[key] != bit:
                 raise InvalidCocycle(
                     f"lambda inconsistent on subspace {sorted(key)}"
@@ -331,9 +311,10 @@ def perturb(phi: QuasiCocycle, chi: dict) -> QuasiCocycle:
     chi(u+v); chi must send 0 to 0."""
     if chi.get(0, 0) != 0:
         raise ValueError("chi must fix the zero vector")
-    return QuasiCocycle.from_function(
-        phi.dim, lambda u, v: phi.phi(u, v) ^ chi[u] ^ chi[v] ^ chi[u ^ v]
-    )
+    n = 1 << phi.dim
+    c = np.array([chi[u] for u in range(n)], dtype=np.int64)
+    u, v = np.ogrid[:n, :n]
+    return QuasiCocycle(phi.dim, _canonical(phi.values ^ c[u] ^ c[v] ^ c[u ^ v]))
 
 
 def change_basis(phi: QuasiCocycle, M) -> QuasiCocycle:
@@ -342,10 +323,9 @@ def change_basis(phi: QuasiCocycle, M) -> QuasiCocycle:
     dim = phi.dim
     if len(M) != dim or linear_rank(M, dim) != dim:
         raise ValueError("basis images must be linearly independent")
-    inv = {apply_linear(M, v): v for v in range(1 << dim)}
-    return QuasiCocycle.from_function(
-        dim, lambda u, v: apply_linear(M, phi.phi(inv[u], inv[v]))
-    )
+    f = np.array([apply_linear(M, v) for v in range(1 << dim)])
+    inv = np.argsort(f)  # f is a bijection
+    return QuasiCocycle(dim, _canonical(f[phi.values[np.ix_(inv, inv)]]))
 
 
 def restrict_along(phi: QuasiCocycle, u_basis, k_basis) -> QuasiCocycle:
@@ -361,9 +341,8 @@ def restrict_along(phi: QuasiCocycle, u_basis, k_basis) -> QuasiCocycle:
         raise ValueError("u_basis and k_basis must jointly form a basis")
     # embed: U-coords -> ambient vector with zero complement part; proj
     # sends every U-part + complement vector back to its U-coords
-    embed = [apply_linear(u_basis, a) for a in range(1 << k)]
-    comp = [apply_linear(k_basis, b) for b in range(1 << (dim - k))]
-    proj = {w ^ c: a for a, w in enumerate(embed) for c in comp}
-    return QuasiCocycle.from_function(
-        k, lambda a, b: proj[phi.phi(embed[a], embed[b])]
-    )
+    embed = np.array([apply_linear(u_basis, a) for a in range(1 << k)])
+    comp = np.array([apply_linear(k_basis, b) for b in range(1 << (dim - k))])
+    proj = np.empty(1 << dim, dtype=np.int64)
+    proj[embed[:, None] ^ comp] = np.arange(1 << k)[:, None]
+    return QuasiCocycle(k, _canonical(proj[phi.values[np.ix_(embed, embed)]]))

@@ -296,12 +296,15 @@ def product_with_boolean(X: TwoValuedGroup, m: int) -> TwoValuedGroup:
         return X
     n = len(X)
     nw = 2 ** m
-    # the tables first: a size that does not fit fails here, before the names
-    dt = index_dtype(n * nw)
+    # the tables first: a size that does not fit fails here, before the
+    # 2^m x 2^m shift table and the names
+    name = f"a {n}-element group x C2^{m}"
+    lo, hi = _reserve_table(name, n * nw), _reserve_table(name, n * nw)
+    dt = lo.dtype
     shift = np.bitwise_xor.outer(np.arange(nw), np.arange(nw)).astype(dt) * dt.type(n)
     shift = shift[:, None, :, None]  # (w1, ., w2, .) -> (w1 ^ w2) * n
-    lo = (shift + X.lo.astype(dt)[:, None, :]).reshape(n * nw, n * nw)
-    hi = (shift + X.hi.astype(dt)[:, None, :]).reshape(n * nw, n * nw)
+    for table, part in ((lo, X.lo), (hi, X.hi)):
+        np.add(shift, part.astype(dt)[:, None, :], out=table.reshape(nw, n, nw, n))
     bits = [format(w, f"0{m}b") for w in range(nw)]  # the coordinates of each w
     names = [f"{x}|{b}" for b in bits for x in X.names]
     return TwoValuedGroup.from_arrays(names, lo, hi)

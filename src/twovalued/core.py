@@ -302,11 +302,7 @@ def _power_sum_codes(n: int) -> np.ndarray:
     identities turn them into the elementary symmetric functions, whose
     polynomial over F_q has the multiset as its roots.  A sum of four codes
     stays below 4q <= 2^16 in each field, so no field carries into the
-    next.  Past _MAX_CODED_ELEMENTS raises MemoryError before allocating
-    anything."""
-    if n > _MAX_CODED_ELEMENTS:
-        raise MemoryError(f"the associativity sweep handles at most "
-                          f"{_MAX_CODED_ELEMENTS:,} elements, not {n}")
+    next, for n up to _MAX_CODED_ELEMENTS (verify_axioms checks n)."""
     q = max(n, 5)
     while any(q % d == 0 for d in range(2, isqrt(q) + 1)):
         q += 1
@@ -465,10 +461,14 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     sum of two pair codes gathered as whole rows, equal exactly when the
     multisets are, and on a commutative table the right side is the left
     side transposed.  Tables of more than 16,381 elements raise
-    MemoryError.  Violations are collected, not raised; each tag keeps its
-    first MAX_WITNESSES_PER_TAG witnesses in the order below.
+    MemoryError before any check.  Violations are collected, not raised;
+    each tag keeps its first MAX_WITNESSES_PER_TAG witnesses in the order
+    below.
     """
     n = len(X)
+    if n > _MAX_CODED_ELEMENTS:
+        raise MemoryError(f"the associativity sweep handles at most "
+                          f"{_MAX_CODED_ELEMENTS:,} elements, not {n}")
     e = X.identity
     lo, hi = X.lo, X.hi
     every = np.arange(n)

@@ -278,15 +278,18 @@ def is_homomorphism(X: TwoValuedGroup, Z: TwoValuedGroup, f) -> HomomorphismRepo
     return report
 
 
-def _f2_rank(rows) -> int:
-    """Rank over F2 of int bitmask rows, by leading-bit elimination."""
-    pivots: dict[int, int] = {}
+def _f2_pivots(rows, pivots: dict[int, int] | None = None) -> dict[int, int]:
+    """Leading-bit elimination over F2 on int bitmask rows: each row is
+    reduced by the pivots and, unless it reduces to 0, becomes the pivot of
+    its leading bit.  Returns the pivots, extended in place when given; their
+    number is the rank."""
+    pivots = {} if pivots is None else pivots
     for row in rows:
         while row and (lead := row.bit_length()) in pivots:
             row ^= pivots[lead]
         if row:
             pivots[lead] = row
-    return len(pivots)
+    return pivots
 
 
 def _sign_forms(lo: np.ndarray, hi: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -353,9 +356,10 @@ def split_direct_factor(X: TwoValuedGroup) -> tuple[TwoValuedGroup, int, list[st
         _, forms = _sign_forms(cur.lo, cur.hi)
         x, y = np.triu_indices(len(cur))
         rows = np.concatenate([forms[x] ^ forms[y] ^ forms[z[x, y]] for z in (cur.lo, cur.hi)])
-        rows = set(rows[rows != 0].tolist())
+        pivots = _f2_pivots(set(rows[rows != 0].tolist()))
+        rank = len(pivots)
         # f(w) = 1 is possible when forms[w] is not a sum of the rows
-        if _f2_rank(rows) == _f2_rank([*rows, int(forms[w])]):
+        if len(_f2_pivots([int(forms[w])], pivots)) == rank:
             raise InconsistentSystem(f"no sign homomorphism separates element {cur.names[w]}")
         witnesses.append(cur.names[w])
         cur, _ = quotient(cur, frozenset({cur.identity, w}))

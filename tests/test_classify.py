@@ -20,7 +20,6 @@ from twovalued.constructions import (
 )
 from twovalued.classify import (
     ClassLabel,
-    GroupTable,
     NotAbelian,
     NotAssociative,
     Timeout,
@@ -218,7 +217,15 @@ class TestInvariantFactors:
 
     def test_of_reconstruction_table(self):
         res = reconstruct_abelian(principal(3, 3))
+        assert isinstance(res.table, np.ndarray) and not res.table.flags.writeable
         assert invariant_factors(res.table) == (3, 3)
+        assert invariant_factors(res.table.tolist()) == (3, 3)
+
+    @pytest.mark.parametrize("table", [[[0, 1]], [0, 1], [[0.0, 1.0], [1.0, 0.0]]],
+                             ids=["not_square", "one_dimensional", "float"])
+    def test_rejects_a_table_that_is_no_square_integer_array(self, table):
+        with pytest.raises(ValueError, match="square integer array"):
+            invariant_factors(table)
 
 
 class TestReconstruction:
@@ -250,7 +257,7 @@ class TestReconstruction:
         # for d of order 2, swap the values 2a and 2a + d in the cells
         # (a, a), (a, a + d), (a + d, a), (a + d, a + d): the table stays
         # commutative with permutation rows, but is no group table any more
-        t = [list(row) for row in reconstruct_abelian(principal(4, 8)).table.table]
+        t = reconstruct_abelian(principal(4, 8)).table.tolist()
         n = len(t)
         d = next(x for x in range(1, n) if t[x][x] == 0)
         a = next(x for x in range(1, n) if x != d)
@@ -259,14 +266,14 @@ class TestReconstruction:
         t[ad][a], t[ad][ad] = t[a][ad], t[a][a]
         assert all(sorted(row) == list(range(n)) for row in t)
         with pytest.raises(NotAssociative):
-            invariant_factors(GroupTable(table=tuple(map(tuple, t))))
+            invariant_factors(t)
 
     def test_table_that_fails_only_at_a_later_generator(self):
         # t'(x, y) = x + y + f(x + H, y + H) for H = <1> and f nonzero on
         # one pair of cosets only: 1 passes Light's test, the second
         # generator 8 does not.  Generators and message are those of the
         # greedy right-multiplication closure this test used before.
-        t = np.array(reconstruct_abelian(principal(4, 8)).table.table)
+        t = np.array(reconstruct_abelian(principal(4, 8)).table)
         H = [0]
         while t[H[-1], 1] != 0:
             H.append(int(t[H[-1], 1]))
@@ -281,12 +288,12 @@ class TestReconstruction:
             u[cells] = t[t[cells], 1]
         assert _generating_set(t, t) == _generating_set(u, u) == [1, 8]
         with pytest.raises(NotAssociative, match=r"^first failing triple: \(8, 8, 9\)$"):
-            invariant_factors(GroupTable(table=tuple(map(tuple, u.tolist()))))
+            invariant_factors(u)
 
     def test_table_is_group_with_doubling_pairs(self):
         X = principal(5)
         res = reconstruct_abelian(X)
-        n = len(res.table.labels)
+        n = len(res.labels)
         assert n == 5
         # elements are pairs (x, p) with p a component of t*x
         for x, p in res.pairs:

@@ -376,7 +376,7 @@ def check_reconstruction(X: TwoValuedGroup, orders, rng: random.Random):
         cells = itertools.product(range(na), repeat=2)
     else:
         cells = [(rng.randrange(na), rng.randrange(na)) for _ in range(CHECKED_PRODUCTS)]
-    table = res.table.table
+    table = res.table.tolist()
     assert all(table[a][b] == mul(a, b) for a, b in cells)
     assert res.chain == reference_chain(table)
 

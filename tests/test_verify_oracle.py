@@ -332,9 +332,20 @@ def test_code_sums_do_not_carry_at_the_largest_size():
         assert 4 * int(field.max()) < 1 << 16
 
 
-def test_codes_past_the_largest_size_raise_memory_error():
-    with pytest.raises(MemoryError, match="16,381"):
-        core._power_sum_codes(16_382)
+def test_verify_past_the_largest_size_raises_before_any_check(monkeypatch):
+    # 49 elements: past the cap, not even Light's generating set is built
+    X = principal(96)
+    monkeypatch.setattr(core, "_MAX_CODED_ELEMENTS", len(X))
+    assert verify_axioms(X).is_two_valued_group
+
+    def forbidden(*args):
+        raise AssertionError("verify_axioms ran past the size cap")
+
+    monkeypatch.setattr(core, "_MAX_CODED_ELEMENTS", len(X) - 1)
+    monkeypatch.setattr(core, "_generating_set", forbidden)
+    monkeypatch.setattr(core, "_power_sum_codes", forbidden)
+    with pytest.raises(MemoryError, match="handles at most 48 elements, not 49$"):
+        verify_axioms(X)
 
 
 @pytest.mark.parametrize("n", [5, 61, 255, 256, 257])
