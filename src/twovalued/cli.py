@@ -82,21 +82,28 @@ def group_to_json(X: TwoValuedGroup) -> str:
 
 
 def group_from_json(text: str) -> TwoValuedGroup:
-    from .core import TwoValuedGroup
-
     # the cyclic collector would run many times over the millions of lists
-    # that json.loads allocates, and they hold no cycles
+    # that json.loads allocates, and they hold no cycles.  It stays paused
+    # until the document is dropped, with _parse_group's frame: resumed
+    # earlier, its first collection would scan the whole young tree
     collecting = gc.isenabled()
     gc.disable()
+    try:
+        return _parse_group(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _parse_group(text: str) -> TwoValuedGroup:
+    from .core import TwoValuedGroup
+
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("not valid JSON: nested too deeply") from None
-    finally:
-        if collecting:
-            gc.enable()
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     version = doc.get("format_version")

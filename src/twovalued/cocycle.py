@@ -250,44 +250,23 @@ def extract_quasicocycle(X: TwoValuedGroup) -> ExtractionData:
     )
 
 
-def _lambda_table(phi: QuasiCocycle) -> dict[frozenset, int]:
-    """For dim 3: the indicator lambda(P) over 2-dimensional subspaces P,
-    where lambda = 0 iff phi(u, v) lies in span(u, v) for (any) independent
-    pair spanning P.  Consistency across the six ordered pairs of each
-    subspace is enforced."""
-    if phi.dim != 3:
-        raise ValueError("lambda table is defined for dim 3")
-    lam: dict[frozenset, int] = {}
-    for u in range(1, 8):
-        for v in range(1, 8):
-            if u == v:
-                continue
-            key = frozenset({u, v, u ^ v})
-            bit = int(phi.values[u, v] != 0)  # canonical: 0 iff in span(u, v)
-            if key in lam and lam[key] != bit:
-                raise InvalidCocycle(
-                    f"lambda inconsistent on subspace {sorted(key)}"
-                )
-            lam[key] = bit
-    if len(lam) != 7:
-        raise InvalidCocycle("wrong number of 2-dimensional subspaces")
-    return lam
-
-
 def cohomology_invariant(phi: QuasiCocycle) -> int:
     """The one-bit cohomology class of a symmetric involutive quasi-cocycle.
 
     dim <= 2: always 0 (everything is cohomologous to the trivial cocycle).
     dim == 3: the parity of lambda summed over the seven 2-dimensional
-    subspaces; cohomologous cocycles give equal parity and the basis cocycle
-    gives 1.
+    subspaces P, lambda(P) = 1 iff phi(u, v) lies outside P = span(u, v);
+    cohomologous cocycles give equal parity and the basis cocycle gives 1.
+    It is counted over the pairs 0 < u < v: each P is spanned by three of
+    them, an odd count, and the validated identities make the three agree
+    (at (u, v, v) and (u, u, v) they put phi(u, v) + phi(u+v, v) and
+    phi(u, v) + phi(u, u+v) in P).
     dim > 3: restrict to the span of the first three standard coordinates
     (projecting values along the remaining ones) and recurse; restriction is
     a bijection on classes in these dimensions.
 
     Validation: full identity check for dim <= 4; above that only the dim-3
-    restriction is fully validated (the lambda consistency check screens the
-    restricted values).  InvalidCocycle on failure.
+    restriction is validated.  InvalidCocycle on failure.
     """
     if phi.dim <= 4 and not validate_quasicocycle(phi):
         raise InvalidCocycle("quasi-cocycle identities fail")
@@ -299,11 +278,8 @@ def cohomology_invariant(phi: QuasiCocycle) -> int:
         cur = restrict_along(cur, unit[:3], unit[3:])
         if not validate_quasicocycle(cur):
             raise InvalidCocycle("restriction to dim 3 is not a quasi-cocycle")
-    lam = _lambda_table(cur)
-    sigma = 0
-    for bit in lam.values():
-        sigma ^= bit
-    return sigma
+    # canonical values: phi(u, v) is 0 exactly when it lies in span(u, v)
+    return np.count_nonzero(np.triu(cur.values[1:, 1:], 1)) & 1
 
 
 def perturb(phi: QuasiCocycle, chi: dict) -> QuasiCocycle:

@@ -202,7 +202,13 @@ def coset_group(A: FinAbelianGroup, iota: InvolutiveAutomorphism) -> TwoValuedGr
     """
     if iota.group != A:
         raise ValueError("automorphism belongs to a different group")
-    p = iota._array
+    return _orbit_space(A, iota._array)
+
+
+def _orbit_space(A: FinAbelianGroup, p: np.ndarray) -> TwoValuedGroup:
+    """coset_group for the involutive automorphism with index map p, which
+    the caller vouches for: the families build their own maps and skip the
+    InvolutiveAutomorphism checks."""
     # the orbit of g is {g, iota(g)}; its smallest index is its smallest
     # tuple, since A.element is lex-increasing in the index
     every = np.arange(A.size)
@@ -232,7 +238,7 @@ def principal(*chain: int) -> TwoValuedGroup:
     # negation fixes the 2^r elements of order <= 2, r the even factors
     _reserve_table(f"principal({','.join(map(str, chain))})",
                    (A.size + 2 ** sum(d % 2 == 0 for d in chain)) // 2)
-    return coset_group(A, InvolutiveAutomorphism.negation(A))
+    return _orbit_space(A, A._neg_indices())
 
 
 def unipotent(n: int) -> TwoValuedGroup:
@@ -248,7 +254,7 @@ def unipotent(n: int) -> TwoValuedGroup:
     # the index is the bit string a|b, first n coordinates a (high bits) and
     # last n coordinates b; iota(a, b) = (a, a + b) xors a into the low bits
     g = np.arange(A.size)
-    return coset_group(A, InvolutiveAutomorphism(A, g ^ (g >> n)))
+    return _orbit_space(A, g ^ (g >> n))
 
 
 def special_series(n: int) -> TwoValuedGroup:
@@ -314,5 +320,4 @@ def double(A: FinAbelianGroup) -> TwoValuedGroup:
     """The doubled single-valued group: identity automorphism, so every
     product is a doubled pair [g+h, g+h].  Involutive only when A is
     Boolean."""
-    ident = InvolutiveAutomorphism(A, tuple(range(A.size)))
-    return coset_group(A, ident)
+    return _orbit_space(A, np.arange(A.size))

@@ -91,10 +91,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
     def test_reader_restores_the_collector_setting(self, enabled, monkeypatch):
-        # json.loads runs with the cyclic collector paused
+        # the cyclic collector stays paused from json.loads through from_pairs
         seen = []
-        loads = json.loads
+        loads, from_pairs = json.loads, TwoValuedGroup.from_pairs
         monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled()) or loads(text))
+        monkeypatch.setattr(TwoValuedGroup, "from_pairs", lambda names, cells: (
+            seen.append(gc.isenabled()) or from_pairs(names, cells)))
         (gc.enable if enabled else gc.disable)()
         try:
             group_from_json(group_to_json(principal(5)))
@@ -104,7 +106,7 @@ class TestSerialization:
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
-        assert seen == [False, False]
+        assert seen == [False, False, False]
 
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "g.json")

@@ -18,7 +18,6 @@ from twovalued.cocycle import (
     InvalidCocycle,
     PreconditionViolated,
     QuasiCocycle,
-    _lambda_table,
     apply_linear,
     change_basis,
     cohomology_invariant,
@@ -140,13 +139,6 @@ def test_validate_rejects_broken_cocycle_identity():
 )
 def test_validate_rejects_a_wrongly_shaped_array(values):
     assert not validate_quasicocycle(QuasiCocycle(dim=3, values=values))
-
-
-def test_lambda_table_rejects_inconsistent_subspace():
-    # phi(1, 2) = 4 lies outside span(1, 2), phi(2, 1) = 0 inside it
-    with pytest.raises(InvalidCocycle, match="lambda inconsistent"):
-        _lambda_table(edited(trivial_cocycle(3), {(1, 2): 4}))
-    assert sum(_lambda_table(phi_basis(3)).values()) % 2 == 1
 
 
 def test_as_tuples_view():

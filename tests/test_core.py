@@ -1,6 +1,7 @@
 """Core pair/table machinery: products, axiom checks, powers and orders."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twovalued.core import (
     AmbiguousPower,
@@ -69,6 +70,82 @@ def test_names_must_be_unique():
                 (Pair(1, 1), Pair(0, 0)),
             ),
         )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TwoValuedGroup(("e", "x"), ((Pair(0, 0), Pair(0, 1.7)), (Pair(1, 1), Pair(0, 0)))),
+        lambda: TwoValuedGroup(("e", "x"), ((Pair(0, 0), Pair(1, 1)), (Pair(1, 1), Pair(0.9, 0.9)))),
+        lambda: TwoValuedGroup.from_pairs(("e", "x"), [[("e", "e"), ("x", "x")], [("x", "x"), ("e", "e")]]),
+    ],
+    ids=["pair_float", "pair_float_truncating_to_0", "from_pairs_names"],
+)
+def test_constructors_refuse_cells_that_are_not_indices(build):
+    with pytest.raises(ValueError, match="must hold element indices"):
+        build()
+
+
+CELL_MUTANTS = [0.5, 1.7, True, -1, 2**70, "g0", None]
+
+
+@st.composite
+def mutated_grids(draw):
+    """An n x n grid of sorted index pairs, n <= 6, with up to three entries
+    replaced by CELL_MUTANTS, and perhaps one row made ragged or dropped."""
+    n = draw(st.integers(1, 6))
+    pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2).map(sorted)
+    grid = draw(st.lists(st.lists(pairs, min_size=n, max_size=n), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, 1))
+        grid[i][j][k] = draw(st.sampled_from(CELL_MUTANTS))
+    i = draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from([None, "longer row", "shorter row", "missing row"]))
+    if defect == "longer row":
+        grid[i].append([0, 0])
+    elif defect == "shorter row":
+        grid[i].pop()
+    elif defect == "missing row":
+        del grid[i]
+    return [f"g{i}" for i in range(n)], grid
+
+
+def reference_cells(n, grid, either_order):
+    """(lo, hi) as nested lists when grid is an n x n table of index pairs,
+    each sorted unless either_order is set; None when a constructor must
+    refuse it.  An index is any int, True included, in 0..n-1."""
+    if len(grid) != n or any(len(row) != n for row in grid):
+        return None
+    cells = [c for row in grid for c in row]
+    if not all(isinstance(v, int) and 0 <= v < n for c in cells for v in c):
+        return None
+    if not either_order and any(a > b for a, b in cells):
+        return None
+    lo = [[min(c) for c in row] for row in grid]
+    hi = [[max(c) for c in row] for row in grid]
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_grids())
+def test_table_constructors_build_the_reference_or_raise_value_error(case):
+    names, grid = case
+    n = len(names)
+    calls = [
+        (False, lambda: TwoValuedGroup(names, [[Pair(*c) for c in row] for row in grid])),
+        (True, lambda: TwoValuedGroup.from_pairs(names, grid)),
+        (False, lambda: TwoValuedGroup.from_arrays(
+            names, [[c[0] for c in row] for row in grid], [[c[1] for c in row] for row in grid])),
+    ]
+    for either_order, build in calls:
+        expected = reference_cells(n, grid, either_order)
+        if expected is None:
+            with pytest.raises(ValueError):
+                build()
+        else:
+            X = build()
+            assert X.names == tuple(names)
+            assert (X.lo.tolist(), X.hi.tolist()) == expected
 
 
 # 3-element quotient of C5 by negation; classes {0},{1,4},{2,3}.
