@@ -14,9 +14,11 @@ classify() runs the decision procedure on X = X' x C2^m, where X' has no
 single-valued C2 factor: detect special pairs (read n and m off |X|); when an
 element of order outside {1,2,4} exists, read the invariant factors of A
 (with X = A modulo negation) off the counts of element orders; otherwise
-strip the C2 factors and read off the quasi-cocycle of X' and its cohomology
-class.  The first two steps need no split, because X and X' agree on special
-pairs and on orders outside {1,2,4}.  reconstruct_abelian rebuilds A as an
+the cocycle branch reads k and m off |X|, and only rank >= 3 splits and reads
+the cohomology bit: Principal(4^k, 2^m) and Unipotent(k, m) both have
+2^(m+k-1) (2^k + 1) elements, and they differ only from k = 3 on.  The first
+two steps need no split, because X and X' agree on special pairs and on
+orders outside {1,2,4}.  reconstruct_abelian rebuilds A as an
 explicit group table and is the independent certificate for the principal
 branch; classify does not call it.
 """
@@ -365,7 +367,8 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
 
     Steps, in order: special pairs (|X| = 2^m (2^n + 1)); order counts, when
     an order lies outside {1, 2, 4} (X' = A/+- makes X = (A x C2^m)/+-);
-    otherwise split X = X' x C2^m and read the cocycle class of X'.
+    otherwise the cocycle branch reads k and m off |X|, and only rank >= 3
+    splits and reads the cohomology bit.
     """
     n = len(X)
     if _special_pairs(X).any():
@@ -385,19 +388,27 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
         if ClassLabel.principal_label(chain).size() != n:
             raise ValueError(f"order counts give {chain}, not a group of size {n}")
         return ClassLabel.principal_label(chain)
-    Xp, m, _witnesses = split_direct_factor(X)
-    if len(Xp) == 1:
-        return ClassLabel.principal_label((2,) * m)
+    # Principal(4^k, 2^m) and Unipotent(k, m) both have 2^(m+k-1) (2^k + 1)
+    # elements, 2^m for k = 0, so n = 2^t o with o odd gives k and m
+    t = (n & -n).bit_length() - 1
+    o = n >> t
+    k = (o >> 1).bit_length()
+    m = t - max(k - 1, 0)
+    if (o > 1 and o != (1 << k) + 1) or m < 0:
+        raise ValueError(f"orders in {{1,2,4}} but size {n} is not 2^(m+k-1) (2^k + 1)")
+    if k <= 2:
+        return ClassLabel.principal_label(merge_chains((4,) * k, (2,) * m))
+    # from rank 3 on the cohomology bit separates the two forms
+    Xp, split_m, _witnesses = split_direct_factor(X)
     data = extract_quasicocycle(Xp)
-    nn = data.dim
-    expected = 2 ** (2 * nn - 1) + 2 ** (nn - 1)
-    if len(Xp) != expected:
+    if data.dim != k or split_m != m:
         raise ValueError(
-            f"orders in {{1,2,4}} but size {len(Xp)} != {expected} for rank {nn}"
+            f"size {n} gives rank {k} and {m} C2 factors; the split gives "
+            f"{split_m} and rank {data.dim}"
         )
     if cohomology_invariant(data.phi):
-        return ClassLabel.principal_label(merge_chains((4,) * nn, (2,) * m))
-    return ClassLabel.unipotent_label(nn, m)
+        return ClassLabel.principal_label(merge_chains((4,) * k, (2,) * m))
+    return ClassLabel.unipotent_label(k, m)
 
 
 def are_isomorphic(X: TwoValuedGroup, Z: TwoValuedGroup) -> bool:

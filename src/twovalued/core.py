@@ -119,7 +119,11 @@ class TwoValuedGroup:
         integer past 64 bits raises ValueError rather than being truncated."""
         names = tuple(names)
         n = len(names)
-        if len(table) != n or any(len(row) != n for row in table):
+        try:
+            square = len(table) == n and all(len(row) == n for row in table)
+        except TypeError:  # the table or a row is no sequence
+            square = False
+        if not square:
             raise ValueError("multiplication table must be n x n")
         table = tuple(map(tuple, table))
         if not all(map(isinstance, chain.from_iterable(table), repeat(Pair))):

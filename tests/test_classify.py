@@ -150,13 +150,23 @@ class TestClassify:
         X = product_with_boolean(principal(3, 9), 2)
         assert str(classify(X)) == "Principal(6,18)"
         assert str(classify(product_with_boolean(special_series(3), 2))) == "Special(3,2)"
+        # the cocycle branch reads rank k <= 2 and m off |X| without a split
+        assert str(classify(principal(2, 2, 2))) == "Principal(2,2,2)"
+        assert str(classify(product_with_boolean(principal(4), 3))) == "Principal(2,2,2,4)"
+        assert str(classify(product_with_boolean(principal(4, 4), 2))) == "Principal(2,2,4,4)"
+        assert str(classify(principal())) == "Principal()"
 
         calls = []
         monkeypatch.setattr(
             module, "split_direct_factor", lambda X: calls.append(X) or real(X)
         )
-        assert str(classify(product_with_boolean(unipotent(3), 1))) == "Unipotent(3,1)"
-        assert len(calls) == 1
+        for X, label in [
+            (product_with_boolean(unipotent(3), 1), "Unipotent(3,1)"),
+            (product_with_boolean(principal(4, 4, 4), 1), "Principal(2,4,4,4)"),
+        ]:
+            calls.clear()
+            assert str(classify(X)) == label
+            assert len(calls) == 1
 
     def test_principal_branch_fits_in_one_gib(self):
         # the chain comes from order counts, so no |A| x |A| table (or its

@@ -148,6 +148,22 @@ def test_table_constructors_build_the_reference_or_raise_value_error(case):
             assert (X.lo.tolist(), X.hi.tolist()) == expected
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TwoValuedGroup(("e", "x"), [[Pair(0, 0), Pair(1, 1)], None]),
+        lambda: TwoValuedGroup(("e", "x"), [[Pair(0, 0), Pair(1, 1)], 3]),
+        lambda: TwoValuedGroup(("e", "x"), None),
+        lambda: TwoValuedGroup.from_pairs(("e", "x"), [[(0, 0), (1, 1)], None]),
+        lambda: TwoValuedGroup.from_arrays(("e", "x"), [[0, 1], None], [[0, 1], None]),
+    ],
+    ids=["row_none", "row_int", "table_none", "from_pairs_row_none", "from_arrays_row_none"],
+)
+def test_table_constructors_refuse_rows_that_are_not_sequences(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 # 3-element quotient of C5 by negation; classes {0},{1,4},{2,3}.
 # Hand check: 1+1=2, 1-1=0; 1+2=3~2, 1-2=-1~1; 2+2=4~1, 2-2=0.
 X5_TABLE = (

@@ -281,15 +281,26 @@ def test_sign_forms_hold_at_most_64_generators(tmp_path, capsys):
     assert gens == list(range(1, 65))
     assert int(forms[64]) == 1 << 63
     X = _flat_table(70)
-    for call in (split_direct_factor, classify):
-        with pytest.raises(ValueError, match="at most 64 generators"):
-            call(X)
+    with pytest.raises(ValueError, match="at most 64 generators"):
+        split_direct_factor(X)
+    # classify reads rank 3 and one C2 factor off 72 = 2^3 (2^3 + 1), so it
+    # splits; it refuses 70, a size of no label, before splitting
+    with pytest.raises(ValueError, match="at most 64 generators"):
+        classify(_flat_table(72))
     assert verify_axioms(X).counts["associativity"] == 323_748
     # the command line verifies first and refuses the table
     path = tmp_path / "flat.json"
     write_group(X, str(path))
     assert cli_main(["classify", str(path)]) == 1
     assert "not a valid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [7, 70])
+def test_classify_refuses_a_flat_table_of_no_labelled_size(n):
+    # every order is <= 2 and no pair is special, but n is not
+    # 2^(m+k-1) (2^k + 1)
+    with pytest.raises(ValueError, match=rf"orders in \{{1,2,4\}} but size {n} "):
+        classify(_flat_table(n))
 
 
 @pytest.mark.parametrize("i", [-1, 7], ids=["minus_one", "n"])

@@ -407,6 +407,29 @@ def test_sweep_matches_pair_references():
         check_homomorphisms(X, Y, perm, random.Random(i))
 
 
+def test_cocycle_branch_rank_and_c2_count_are_read_off_the_size():
+    # a group with no special pair and every order in {1, 2, 4} is
+    # Principal(4^k, 2^m) or Unipotent(k, m), of size 2^(m+k-1) (2^k + 1),
+    # 2^m for k = 0: the split strips m factors and X' has rank k.  The
+    # sweep has 60 such labels; two larger ones take k to 4 and m to 2 at k = 3
+    sizes = {(2**m if k == 0 else 2 ** (m + k - 1) * (2**k + 1)): (k, m)
+             for k in range(6) for m in range(12)}
+    seen = 0
+    specs = sweep_labels() + [("unipotent", 4, 0), ("unipotent", 3, 2)]
+    for i, (kind, param, m) in enumerate(specs):
+        Y, _ = relabel(build(kind, param, m), seed=i)
+        orders = [order(Y, x) for x in range(len(Y))]
+        if is_special(Y)[0] or max(orders) > 4 or 3 in orders:
+            continue
+        seen += 1
+        k, m_read = sizes[len(Y)]
+        Xp, m_split, _ = split_direct_factor(Y)
+        assert m_split == m_read, (kind, param, m)
+        if k:
+            assert extract_quasicocycle(Xp).dim == k, (kind, param, m)
+    assert seen == 62
+
+
 def corrupted(X: TwoValuedGroup, cells: int, rng: random.Random, symmetric: bool):
     """X with `cells` cells off the identity row and column overwritten by
     random pairs, each mirrored across the diagonal when symmetric."""
