@@ -26,6 +26,7 @@ branch; classify does not call it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,7 +234,7 @@ def _table_chain(t: np.ndarray) -> tuple[int, ...]:
         raise NotAbelian("multiplication is not commutative")
     # Light's test: the g with (xg)y = x(gy) for all x, y are closed under
     # products, so checking g in a generating set covers every g
-    for g in _generating_set(t, t):
+    for g in _generating_set(t, t, commutative=True):
         bad = t[t[:, g]] != t[:, t[g]]
         if bad.any():
             x, y = map(int, np.argwhere(bad)[0])
@@ -490,6 +491,9 @@ def witness_isomorphism(
     cand = {c: [z for z in range(n) if cz[z] == c] for c in set(cz)}
     f = [-1] * n
     finv = [-1] * n
+    # the mapped elements in increasing order; the trail holds them in the
+    # order they were mapped, for undo
+    mapped: list[int] = []
     budget = node_budget
 
     def propagate(x: int, z: int, trail: list[int]) -> bool:
@@ -507,10 +511,9 @@ def witness_isomorphism(
             f[a] = b
             finv[b] = a
             trail.append(a)
-            for y in range(n):
+            insort(mapped, a)
+            for y in mapped:
                 fy = f[y]
-                if fy == -1:
-                    continue
                 # the cells a*y and y*a against their images b*f(y), f(y)*b
                 for l1, l2, q1, q2 in (
                     (lx[a][y], hx[a][y], lz[b][fy], hz[b][fy]),
@@ -540,6 +543,7 @@ def witness_isomorphism(
             a = trail.pop()
             finv[f[a]] = -1
             f[a] = -1
+            del mapped[bisect_left(mapped, a)]
 
     # static order: rare colors first, identity is its own color class
     by_class = sorted(range(n), key=lambda x: (len(cand[cx[x]]), cx[x], x))

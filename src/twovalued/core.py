@@ -8,7 +8,7 @@ fixed tuple of names; index 0 is always the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, repeat
 from math import isqrt
 from operator import index
@@ -124,7 +124,7 @@ class TwoValuedGroup:
         except TypeError:  # the table or a row is no sequence
             square = False
         if not square:
-            raise ValueError("multiplication table must be n x n")
+            raise _shape_error(n)
         table = tuple(map(tuple, table))
         if not all(map(isinstance, chain.from_iterable(table), repeat(Pair))):
             raise ValueError("table cells must be Pairs")
@@ -137,8 +137,13 @@ class TwoValuedGroup:
     def from_arrays(cls, names: Sequence[str], lo, hi) -> "TwoValuedGroup":
         """The group whose product i*j is [lo[i, j], hi[i, j]]; lo and hi are
         n x n integer arrays with lo <= hi, copied into index_dtype(n)."""
+        names = tuple(names)
+        try:
+            lo, hi = np.array(lo, order="C"), np.array(hi, order="C")
+        except ValueError:  # numpy's word for a ragged row
+            raise _shape_error(len(names)) from None
         X = cls.__new__(cls)
-        X._init(tuple(names), np.array(lo, order="C"), np.array(hi, order="C"), 0)
+        X._init(names, lo, hi, 0)
         return X
 
     def _init(self, names, lo, hi, identity):
@@ -151,7 +156,7 @@ class TwoValuedGroup:
         if identity != 0:
             raise ValueError("identity must sit at index 0")
         if lo.shape != (n, n) or hi.shape != (n, n):
-            raise ValueError("multiplication table must be n x n")
+            raise _shape_error(n)
         _require_indices(lo, hi)
         unsorted = np.argwhere(lo > hi)
         if len(unsorted):
@@ -182,49 +187,50 @@ class TwoValuedGroup:
     @cached_property
     def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
         """(seq, reach, orders, faults) from the recurrence x * x^k =
-        [x^(k-1), x^(k+1)] stepped for all x at once: seq[k, x] = x^k for
+        [x^(k-1), x^(k+1)] for all x at once: seq[k, x] = x^k for
         k <= reach[x], and x^k = x^(orders[x] - k) beyond.  A walk stops at
         x^(k+1) = e or where it turns: after x^(k+1) = x^(k-1) or x^k the
         recurrence retraces its steps to e, so the order is 2k or 2k+1.
         faults maps each x whose recurrence branches before that to the
         reason: x*x^k and x^k*x differ, x^(k-1) is missing from x*x^k, or
-        there is no return to e within 2n+2 steps."""
+        there is no return to e within 2n+2 steps.
+
+        The powers are first found by doubling (_doubled_powers), in about
+        log2 of the longest walk rounds, and every step is then checked
+        against the recurrence.  Where a check fails, which happens only
+        on tables that are no two-valued group, the recurrence is stepped
+        one power at a time instead (_stepped_powers), so the walk is the
+        same either way."""
         n = len(self)
         lo, hi = self.lo.ravel(), self.hi.ravel()
         every = np.arange(n)
         rows = every * n
-        seq = [np.zeros(n, lo.dtype), every.astype(lo.dtype)]
-        done = every == 0
-        for _ in range(2 * n + 1):
-            prev, cur = seq[-2], seq[-1]
+        for powers in (_doubled_powers, _stepped_powers):
+            seq, last, stopped = powers(lo, hi, rows)
+            # row k - 1 of these is step k, from x^(k-1) and x^k to x^(k+1)
+            prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
             at = rows + cur
-            l = lo[at]
-            seq.append(np.where(l == prev, hi[at], l))
-            done |= (seq[-1] == prev) | (seq[-1] == cur)
-            if done.all():
+            l, h = lo[at], hi[at]
+            # the cells x^k * x, gathered: no n x n transpose
+            at = rows[cur]
+            at += every
+            asym = (lo[at] != l) | (hi[at] != h)
+            stepped = powers is _stepped_powers
+            if stepped or not (asym | (l != np.minimum(prev, nxt))
+                               | (h != np.maximum(prev, nxt))).any():
                 break
-        seq = np.array(seq)
-        # row k - 1 of these is step k, from x^(k-1) and x^k to x^(k+1)
-        prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
-        at = rows + cur
-        l, h = lo[at], hi[at]
-        stop = (nxt == 0) | (nxt == prev) | (nxt == cur)
-        stop[:, 0] = True
-        last = stop.argmax(axis=0)
-        stopped = stop[last, every]
-        last[~stopped] = len(stop) - 1
         k, end = last + 1, nxt[last, every]
         orders = np.where(end == 0, k + 1, 2 * k + (end != prev[last, every]))
         orders[0] = 1
-        asym = ((self.lo != self.lo.T) | (self.hi != self.hi.T)).ravel()[at]
-        branch = (asym | ((l != prev) & (h != prev))) & (np.arange(len(stop))[:, None] <= last)
-        branch[:, 0] = False
-        first = branch.argmax(axis=0)
         faults: dict[int, str] = {}
-        for x in branch.any(axis=0).nonzero()[0].tolist():
-            why = ("x*x^k and x^k*x differ" if asym[first[x], x]
-                   else "x^(k-1) missing from x*x^k")
-            faults[x] = f"{why} for x={x}, k={first[x] + 1}"
+        if stepped:
+            branch = (asym | ((l != prev) & (h != prev))) & (np.arange(len(l))[:, None] <= last)
+            branch[:, 0] = False
+            first = branch.argmax(axis=0)
+            for x in branch.any(axis=0).nonzero()[0].tolist():
+                why = ("x*x^k and x^k*x differ" if asym[first[x], x]
+                       else "x^(k-1) missing from x*x^k")
+                faults[x] = f"{why} for x={x}, k={first[x] + 1}"
         stopped &= orders <= 2 * n + 2
         for x in (~stopped).nonzero()[0].tolist():
             faults.setdefault(x, f"power sequence of x={x} never returns to e")
@@ -252,8 +258,13 @@ class TwoValuedGroup:
         Cells that are not integers (names, floats, None) raise the same
         ValueError as in from_arrays and the table= constructor."""
         n = len(names)
-        cells = np.asarray(cells)
+        try:
+            cells = np.asarray(cells)
+        except ValueError:  # numpy's word for a ragged grid
+            raise _shape_error(n) from None
         _require_indices(cells)
+        if cells.size != 2 * n * n:
+            raise _shape_error(n)
         a, b = np.moveaxis(cells.reshape(n, n, 2), 2, 0)
         return cls.from_arrays(names, np.minimum(a, b), np.maximum(a, b))
 
@@ -286,6 +297,72 @@ def product_fold(X: TwoValuedGroup, m: Iterable[int], b: int) -> tuple[int, ...]
     return tuple(sorted(X.lo[m, b].tolist() + X.hi[m, b].tolist()))
 
 
+def _turns(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(last, stopped) for the walks in seq, where row k - 1 of
+    seq[2:] is step k: step last[x] + 1 is the first at which x^(k+1) is e,
+    x^(k-1) or x^k, where stopped[x], and the last step of seq elsewhere.
+    The walk of e stops at once."""
+    prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
+    stop = (nxt == 0) | (nxt == prev) | (nxt == cur)
+    stop[:, 0] = True
+    last = stop.argmax(axis=0)
+    stopped = stop[last, np.arange(seq.shape[1])]
+    last[~stopped] = len(stop) - 1
+    return last, stopped
+
+
+def _doubled_powers(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(seq, *_turns(seq)) for the raveled table lo/hi, rows = x * n:
+    seq[k, x] = x^k up to a k where every walk has stopped, or up to
+    k = 2n+2, found by doubling.  From the powers up to K, x^(K+j) for
+    j = 1..K is the element of x^K * x^j other than x^(K-j).  That holds in
+    every two-valued group, not in every table: TwoValuedGroup._walk checks
+    the recurrence after.  A walk turns by k = n in a group, and a look
+    for the stops costs about as much as a round, so the first look is at
+    k = min(n, 8), past the turn of most walks of small order."""
+    n = len(rows)
+    rows_cap = 2 * n + 3
+    seq = np.zeros((2, n), lo.dtype)
+    seq[1] = np.arange(n)
+    while True:
+        top = len(seq) - 1
+        m = min(top, rows_cap - 1 - top)
+        at = rows[seq[top]] + seq[1 : m + 1]
+        l = lo[at]
+        seq = np.concatenate((seq, np.where(l == seq[top - 1 :: -1][:m], hi[at], l)))
+        if len(seq) > min(n, 8):
+            last, stopped = _turns(seq)
+            if len(seq) == rows_cap or stopped.all():
+                # the doubling overshoots: keep the rows up to the last stop
+                return seq[: last.max() + 3], last, stopped
+
+
+def _stepped_powers(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(seq, *_turns(seq)) as in _doubled_powers, but stepped one power at
+    a time: x^(k+1) is the element of x * x^k other than x^(k-1), or its
+    low element where x^(k-1) is missing, until every walk turns or
+    k = 2n+2."""
+    n = len(rows)
+    seq = [np.zeros(n, lo.dtype), np.arange(n, dtype=lo.dtype)]
+    done = rows == 0
+    for _ in range(2 * n + 1):
+        prev, cur = seq[-2], seq[-1]
+        at = rows + cur
+        l = lo[at]
+        seq.append(np.where(l == prev, hi[at], l))
+        done |= (seq[-1] == prev) | (seq[-1] == cur)
+        if done.all():
+            break
+    seq = np.array(seq)
+    return seq, *_turns(seq)
+
+
+def _shape_error(n: int) -> ValueError:
+    """The error of every table constructor for cells that do not make an
+    n x n table."""
+    return ValueError(f"multiplication table must be {n} x {n}")
+
+
 def _require_indices(*cells: np.ndarray) -> None:
     """The cell rule of every table constructor: ValueError unless each
     array of cells has an integer dtype (floats, strings, None and integers
@@ -304,6 +381,7 @@ def index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
+@lru_cache(maxsize=128)
 def _power_sum_codes(n: int) -> np.ndarray:
     """uint64 codes of the elements 0..n-1 whose sums over 4-element
     multisets are equal only for equal multisets: v, v^2, v^3 and v^4 mod
@@ -313,12 +391,15 @@ def _power_sum_codes(n: int) -> np.ndarray:
     identities turn them into the elementary symmetric functions, whose
     polynomial over F_q has the multiset as its roots.  A sum of four codes
     stays below 4q <= 2^16 in each field, so no field carries into the
-    next, for n up to _MAX_CODED_ELEMENTS (verify_axioms checks n)."""
+    next, for n up to _MAX_CODED_ELEMENTS (verify_axioms checks n).
+    The codes are cached per n, at most 128 sizes, and read-only."""
     q = max(n, 5)
     while any(q % d == 0 for d in range(2, isqrt(q) + 1)):
         q += 1
     v = np.arange(n, dtype=np.uint64)
-    return v | (v**2 % q) << 16 | (v**3 % q) << 32 | (v**4 % q) << 48
+    codes = v | (v**2 % q) << 16 | (v**3 % q) << 32 | (v**4 % q) << 48
+    codes.setflags(write=False)
+    return codes
 
 
 def _associativity_violations(
@@ -397,31 +478,50 @@ def _associativity_violations(
     return total, [(key // (n * n), key // n % n, key % n) for key in kept.tolist()]
 
 
-def _generating_set(lo: np.ndarray, hi: np.ndarray) -> list[int]:
+def _generating_set(lo: np.ndarray, hi: np.ndarray, commutative: bool = False) -> list[int]:
     """Elements G whose basis vectors, with e's, generate the algebra Q[X]
     with e_a * e_b = e_lo[a, b] + e_hi[a, b]; for a single-valued table
-    (lo = hi), generators of the closure of e under products.
+    (lo = hi), generators of the closure of e under products.  commutative
+    says lo and hi are symmetric, so that a*b need not be read as b*a too.
 
     e = 0 starts reached.  For reached a and b with a*b = [u, v], u = v
     makes u reached (2 e_u is a product), and one of u, v reached makes the
-    other reached (e_u + e_v is).  Each round applies these rules to every
-    reached pair at once; when a round reaches nothing new, the first
-    unreached element joins G.
+    other reached (e_u + e_v is).  Each round reads only the products of the
+    elements reached in the last round with all reached ones, plus the
+    links: the earlier products [u, v] with neither element reached, each
+    kept until one of them is.  When a round reaches nothing new, the first
+    unreached element joins G.  The reached set is the least one closed
+    under the rules, however the products are ordered, so G is the same as
+    when each round reads every reached pair.
     """
     n = len(lo)
     lo, hi = lo.ravel(), hi.ravel()
-    reached = np.zeros(n, bool)
-    reached[0] = True
+    rows = np.arange(n) * n
+    reached = rows == 0
+    count = 1
+    fresh = np.zeros(1, np.intp)
+    links = fresh[:0]
     gens = []
-    while len(at := reached.nonzero()[0]) < n:
-        cells = at[:, None] * n + at
-        u, v = lo[cells], hi[cells]
-        ru, rv = reached[u], reached[v]
-        reached[u[~ru & ((u == v) | rv)]] = True
-        reached[v[ru & ~rv]] = True
-        if np.count_nonzero(reached) == len(at):
-            gens.append(int(reached.argmin()))
-            reached[gens[-1]] = True
+    while count < n:
+        was = reached.copy()
+        at = was.nonzero()[0]
+        cells = [(rows[fresh][:, None] + at).ravel(), links]
+        if not commutative:
+            cells.append((rows[at][:, None] + fresh).ravel())
+        cells = np.concatenate(cells)
+        # each product [u, v]; gathers by an intp index are the fast ones
+        u, v = lo[cells].astype(np.intp), hi[cells].astype(np.intp)
+        # [u, v] reaches both when one of them is reached or u = v
+        hit = reached[u] | reached[v] | (u == v)
+        reached[u[hit]] = True
+        reached[v[hit]] = True
+        links = cells[~hit]
+        fresh = (reached > was).nonzero()[0]
+        if not len(fresh):
+            fresh = reached.argmin(keepdims=True)
+            reached[fresh] = True
+            gens.append(int(fresh[0]))
+        count += len(fresh)
     return gens
 
 
@@ -510,7 +610,7 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     # sweep where it finds violations or the table is too small for it to pay
     count = None
     if n >= _LIGHT_TEST_MIN_SIZE:
-        light = np.array([0, *_generating_set(lo, hi)])
+        light = np.array([0, *_generating_set(lo, hi, is_commutative)])
         count, witnesses = _associativity_violations(lo, hi, is_commutative, light)
     if count != 0:
         count, witnesses = _associativity_violations(lo, hi, is_commutative, slice(None))

@@ -164,6 +164,21 @@ def test_table_constructors_refuse_rows_that_are_not_sequences(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TwoValuedGroup.from_pairs(["e", "a"], [0, 0, 1, 1, 1, 1]),
+        lambda: TwoValuedGroup.from_arrays(["e", "a"], [[0, 1], [1]], [[0, 1], [1, 0]]),
+        lambda: TwoValuedGroup.from_pairs(["e", "a"], [[(0, 0), (1, 1)], [(1, 1)]]),
+    ],
+    ids=["from_pairs_six_indices", "from_arrays_ragged_row", "from_pairs_ragged_grid"],
+)
+def test_table_constructors_name_the_shape_they_need(build):
+    # the library's own message, not numpy's reshape or inhomogeneous-shape one
+    with pytest.raises(ValueError, match=r"^multiplication table must be 2 x 2$"):
+        build()
+
+
 # 3-element quotient of C5 by negation; classes {0},{1,4},{2,3}.
 # Hand check: 1+1=2, 1-1=0; 1+2=3~2, 1-2=-1~1; 2+2=4~1, 2-2=0.
 X5_TABLE = (

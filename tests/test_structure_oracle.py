@@ -11,7 +11,9 @@ per-cell sign system and the cocycle extraction built on them.  Every
 acceptance-sweep label is checked with one seeded relabelling.  The mul
 closure checks every product of a reconstructed table of at most
 CHECKED_PRODUCTS cells and that many seeded products of a larger one; the
-chain is recomputed from the whole table.
+chain is recomputed from the whole table.  The power walk is also checked
+on the three groups of perfbench with the longest walks, and on random
+tables where its doubling check fails and the walk is stepped instead.
 """
 
 import itertools
@@ -21,8 +23,10 @@ import numpy as np
 import pytest
 
 from test_acceptance import build, sweep_labels
+from twovalued import core
 from twovalued.classify import (
     NonUniquePair,
+    Timeout,
     _chain_from_counts,
     _initial_colors,
     _refine,
@@ -458,14 +462,9 @@ def random_involutive_table(n: int, rng: random.Random) -> TwoValuedGroup:
     return TwoValuedGroup.from_arrays([str(i) for i in range(n)], lo, hi)
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_walk_matches_reference_on_broken_tables(seed):
-    rng = random.Random(seed)
-    if seed % 3 == 2:
-        X = random_involutive_table(rng.randrange(2, 12), rng)
-    else:
-        label = rng.choice([lab for lab in sweep_labels() if lab != ("principal", (), 0)])
-        X = corrupted(build(*label), rng.randrange(1, 4), rng, symmetric=seed % 3 == 0)
+def assert_walk_matches_reference(X: TwoValuedGroup):
+    """order and power against the Pair-cell power sequence of every
+    element, AmbiguousPower messages included."""
     for x in range(len(X)):
         try:
             seq = reference_power_sequence(X, x)
@@ -479,6 +478,57 @@ def test_walk_matches_reference_on_broken_tables(seed):
         assert order(X, x) == m
         exponents = range(-m, 2 * m + 1)
         assert [power(X, x, k) for k in exponents] == [seq[abs(k) % m] for k in exponents]
+
+
+def count_reruns(monkeypatch) -> list:
+    """A list that gets one entry each time a power walk falls back from
+    doubling to stepping one power at a time."""
+    reruns = []
+    stepped = core._stepped_powers
+    monkeypatch.setattr(core, "_stepped_powers",
+                        lambda *args: reruns.append(args) or stepped(*args))
+    return reruns
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_walk_matches_reference_on_broken_tables(seed):
+    rng = random.Random(seed)
+    if seed % 3 == 2:
+        X = random_involutive_table(rng.randrange(2, 12), rng)
+    else:
+        label = rng.choice([lab for lab in sweep_labels() if lab != ("principal", (), 0)])
+        X = corrupted(build(*label), rng.randrange(1, 4), rng, symmetric=seed % 3 == 0)
+    assert_walk_matches_reference(X)
+
+
+# the longest walks of perfbench's large groups: orders up to 255, 64 and 9
+HIGH_ORDER = [("principal", (255,), 0), ("principal", (64,), 2), ("principal", (3, 9, 9), 0)]
+
+
+@pytest.mark.parametrize("label", HIGH_ORDER, ids=["principal255", "principal64xC2^2",
+                                                   "principal3_9_9"])
+def test_walk_matches_reference_on_high_order_groups(label, monkeypatch):
+    # the doubled walk stands on valid groups, plain and relabelled; with
+    # cells corrupted it may be rerun step by step, and still matches
+    X = build(*label)
+    Y, _ = relabel(X, seed=len(X))
+    reruns = count_reruns(monkeypatch)
+    for T in (X, Y):
+        assert_walk_matches_reference(T)
+    assert reruns == []
+    rng = random.Random(len(X))
+    for symmetric in (True, False):
+        assert_walk_matches_reference(corrupted(Y, rng.randrange(1, 4), rng, symmetric))
+
+
+def test_walk_reruns_step_by_step_where_doubling_fails(monkeypatch):
+    # on random symmetric tables of 2 to 5 elements the doubling check
+    # fails about half the time; both ways must give the reference walk
+    reruns = count_reruns(monkeypatch)
+    rng = random.Random("rerun")
+    for _ in range(60):
+        assert_walk_matches_reference(random_involutive_table(rng.randrange(2, 6), rng))
+    assert 15 <= len(reruns) <= 45
 
 
 def split_outcome(fn, X: TwoValuedGroup):
@@ -529,6 +579,23 @@ def test_colors_match_reference(seed):
         if seed % 3 == 1:
             X = corrupted(X, rng.randrange(1, 4), rng, symmetric=seed % 2 == 0)
     assert _refine(X, _initial_colors(X)).tolist() == reference_colors(X)
+
+
+@pytest.mark.parametrize("label, seed, nodes", [
+    (("principal", (2, 6), 1), 17, 16),
+    (("unipotent", 3, 0), 5, 73),
+    (("principal", (3, 9), 0), 3, 389),
+])
+def test_witness_search_spends_the_nodes_of_the_full_scan(label, seed, nodes):
+    # each propagation step reads the mapped elements in increasing order,
+    # as the scan over all n elements did, so a map costs the nodes it cost
+    # with the scan (counted then): one node less runs out of budget
+    X = build(*label)
+    Z, _ = relabel(X, seed)
+    f = witness_isomorphism(X, Z, node_budget=nodes)
+    assert is_homomorphism(X, Z, f).is_homomorphism
+    with pytest.raises(Timeout):
+        witness_isomorphism(X, Z, node_budget=nodes - 1)
 
 
 def test_array_paths_never_build_the_pair_view():

@@ -11,7 +11,9 @@ themselves are checked for injectivity on small sizes and for carry-free
 fields at the largest size.  The sweep on a subset of the middle elements
 y is checked against a per-y reference, and Light's test (that sweep on
 {e} and a generating set) against the full sweep: it must accept exactly
-the tables the full sweep finds associative.
+the tables the full sweep finds associative.  The generating set, whose
+rounds read only the elements new to the last round, is checked against
+the closure that read every reached pair each round.
 """
 
 import os
@@ -448,6 +450,55 @@ def test_light_test_rejects_a_half_nucleus_table(monkeypatch):
     assert light_count(X, commutative=True) > 0
     assert verify_axioms(X).counts["associativity"] > 0
     assert light_agrees_with_sweep(X, monkeypatch)
+
+
+def reference_generating_set(lo: np.ndarray, hi: np.ndarray) -> list[int]:
+    """_generating_set as it was before it read only the new elements of
+    each round: every round applies the closure rules to every pair of
+    reached elements at once."""
+    n = len(lo)
+    lo, hi = lo.ravel(), hi.ravel()
+    reached = np.zeros(n, bool)
+    reached[0] = True
+    gens = []
+    while len(at := reached.nonzero()[0]) < n:
+        cells = at[:, None] * n + at
+        u, v = lo[cells], hi[cells]
+        ru, rv = reached[u], reached[v]
+        reached[u[~ru & ((u == v) | rv)]] = True
+        reached[v[ru & ~rv]] = True
+        if np.count_nonzero(reached) == len(at):
+            gens.append(int(reached.argmin()))
+            reached[gens[-1]] = True
+    return gens
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_generating_set_matches_all_pairs_closure(chunk):
+    # every acceptance-sweep label with its elements permuted (e moved off
+    # index 0), and with 1 or 3 cells corrupted, symmetrically and on one
+    # side only; on the symmetric tables also read as commutative
+    from test_acceptance import build, sweep_labels
+
+    for i, label in enumerate(sweep_labels()[chunk::4]):
+        X = build(*label)
+        tables = [moved_identity(X, seed=i)]
+        if len(X) >= 3:
+            tables += [corrupted(X, c, seed=c + i) for c in (1, 3)]
+            tables += [corrupted_one_sided(X, c, seed=c + i) for c in (1, 3)]
+        for k, Y in enumerate(tables):
+            expected = reference_generating_set(Y.lo, Y.hi)
+            assert core._generating_set(Y.lo, Y.hi) == expected, (label, k)
+            if np.array_equal(Y.lo, Y.lo.T) and np.array_equal(Y.hi, Y.hi.T):
+                assert core._generating_set(Y.lo, Y.hi, commutative=True) == expected
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non_symmetric"])
+def test_generating_set_matches_all_pairs_closure_on_random_tables(symmetric):
+    # links: products [u, v] with neither element reached abound here
+    for n in range(1, 41):
+        X = random_symmetric(n, seed=n) if symmetric else random_table(n, seed=n, unit=True)
+        assert core._generating_set(X.lo, X.hi, symmetric) == reference_generating_set(X.lo, X.hi)
 
 
 def test_generating_set_takes_the_least_unreached_element():
