@@ -158,9 +158,8 @@ class TwoValuedGroup:
         if lo.shape != (n, n) or hi.shape != (n, n):
             raise _shape_error(n)
         _require_indices(lo, hi)
-        unsorted = np.argwhere(lo > hi)
-        if len(unsorted):
-            i, j = unsorted[0]
+        if (unsorted := lo > hi).any():
+            i, j = np.argwhere(unsorted)[0]
             raise ValueError(
                 f"table cell ({i}, {j}) = [{lo[i, j]}, {hi[i, j]}] is not sorted"
             )
@@ -195,35 +194,33 @@ class TwoValuedGroup:
         reason: x*x^k and x^k*x differ, x^(k-1) is missing from x*x^k, or
         there is no return to e within 2n+2 steps.
 
-        The powers are first found by doubling (_doubled_powers), in about
+        The powers are first found by doubling (_power_table), in about
         log2 of the longest walk rounds, and every step is then checked
-        against the recurrence.  Where a check fails, which happens only
-        on tables that are no two-valued group, the recurrence is stepped
-        one power at a time instead (_stepped_powers), so the walk is the
-        same either way."""
+        against the recurrence.  Where a check fails, which happens only on
+        tables that are no two-valued group, the recurrence is stepped one
+        power at a time instead, so the walk is the same either way."""
         n = len(self)
         lo, hi = self.lo.ravel(), self.hi.ravel()
         every = np.arange(n)
         rows = every * n
-        for powers in (_doubled_powers, _stepped_powers):
-            seq, last, stopped = powers(lo, hi, rows)
+        for doubling in (True, False):
+            seq, last, stopped = _power_table(lo, hi, rows, doubling)
             # row k - 1 of these is step k, from x^(k-1) and x^k to x^(k+1)
             prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
             at = rows + cur
             l, h = lo[at], hi[at]
             # the cells x^k * x, gathered: no n x n transpose
-            at = rows[cur]
+            at = rows.take(cur)
             at += every
             asym = (lo[at] != l) | (hi[at] != h)
-            stepped = powers is _stepped_powers
-            if stepped or not (asym | (l != np.minimum(prev, nxt))
-                               | (h != np.maximum(prev, nxt))).any():
+            if not doubling or not (asym | (l != np.minimum(prev, nxt))
+                                    | (h != np.maximum(prev, nxt))).any():
                 break
         k, end = last + 1, nxt[last, every]
         orders = np.where(end == 0, k + 1, 2 * k + (end != prev[last, every]))
         orders[0] = 1
         faults: dict[int, str] = {}
-        if stepped:
+        if not doubling:
             branch = (asym | ((l != prev) & (h != prev))) & (np.arange(len(l))[:, None] <= last)
             branch[:, 0] = False
             first = branch.argmax(axis=0)
@@ -297,64 +294,52 @@ def product_fold(X: TwoValuedGroup, m: Iterable[int], b: int) -> tuple[int, ...]
     return tuple(sorted(X.lo[m, b].tolist() + X.hi[m, b].tolist()))
 
 
-def _turns(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(last, stopped) for the walks in seq, where row k - 1 of
-    seq[2:] is step k: step last[x] + 1 is the first at which x^(k+1) is e,
-    x^(k-1) or x^k, where stopped[x], and the last step of seq elsewhere.
-    The walk of e stops at once."""
-    prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
-    stop = (nxt == 0) | (nxt == prev) | (nxt == cur)
-    stop[:, 0] = True
-    last = stop.argmax(axis=0)
-    stopped = stop[last, np.arange(seq.shape[1])]
-    last[~stopped] = len(stop) - 1
-    return last, stopped
-
-
-def _doubled_powers(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(seq, *_turns(seq)) for the raveled table lo/hi, rows = x * n:
+def _power_table(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
+                 doubling: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(seq, last, stopped) for the raveled table lo/hi, rows = x * n:
     seq[k, x] = x^k up to a k where every walk has stopped, or up to
-    k = 2n+2, found by doubling.  From the powers up to K, x^(K+j) for
-    j = 1..K is the element of x^K * x^j other than x^(K-j).  That holds in
-    every two-valued group, not in every table: TwoValuedGroup._walk checks
-    the recurrence after.  A walk turns by k = n in a group, and a look
-    for the stops costs about as much as a round, so the first look is at
-    k = min(n, 8), past the turn of most walks of small order."""
+    k = 2n+2.  Step last[x] + 1 is the first at which x^(k+1) is e, x^(k-1)
+    or x^k, where stopped[x], and the last step of seq elsewhere; the walk
+    of e stops at once.
+
+    Each round doubles the powers known.  With doubling, those up to K
+    give x^(K+j) for j = 1..K at once, as the element of x^K * x^j other
+    than x^(K-j).  That holds in every two-valued group, not in every
+    table: TwoValuedGroup._walk checks the recurrence after.  Without, the
+    round steps K times: x^(k+1) is the element of x * x^k other than
+    x^(k-1), or its low element where x^(k-1) is missing.  A look for the
+    stops costs about as much as a round and a walk turns by k = n in a
+    group, so the looks start past k = min(n, 8), after the turn of most
+    walks of small order."""
     n = len(rows)
-    rows_cap = 2 * n + 3
+    cap = 2 * n + 3
     seq = np.zeros((2, n), lo.dtype)
     seq[1] = np.arange(n)
     while True:
         top = len(seq) - 1
-        m = min(top, rows_cap - 1 - top)
-        at = rows[seq[top]] + seq[1 : m + 1]
-        l = lo[at]
-        seq = np.concatenate((seq, np.where(l == seq[top - 1 :: -1][:m], hi[at], l)))
+        m = min(top, cap - 1 - top)
+        if doubling:
+            at = rows.take(seq[top]) + seq[1 : m + 1]
+            l = lo[at]
+            new = np.where(l == seq[top - 1 :: -1][:m], hi[at], l)
+        else:
+            new = [seq[top - 1], seq[top]]
+            for _ in range(m):
+                at = rows + new[-1]
+                l = lo[at]
+                new.append(np.where(l == new[-2], hi[at], l))
+            new = new[2:]
+        seq = np.concatenate((seq, new))
         if len(seq) > min(n, 8):
-            last, stopped = _turns(seq)
-            if len(seq) == rows_cap or stopped.all():
-                # the doubling overshoots: keep the rows up to the last stop
+            prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
+            stop = (nxt == 0) | (nxt == prev) | (nxt == cur)
+            stop[:, 0] = True
+            last = stop.argmax(axis=0)
+            stopped = stop[last, np.arange(n)]
+            if len(seq) == cap or stopped.all():
+                last[~stopped] = len(stop) - 1
+                # a round overshoots: keep the rows up to the last stop
                 return seq[: last.max() + 3], last, stopped
-
-
-def _stepped_powers(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(seq, *_turns(seq)) as in _doubled_powers, but stepped one power at
-    a time: x^(k+1) is the element of x * x^k other than x^(k-1), or its
-    low element where x^(k-1) is missing, until every walk turns or
-    k = 2n+2."""
-    n = len(rows)
-    seq = [np.zeros(n, lo.dtype), np.arange(n, dtype=lo.dtype)]
-    done = rows == 0
-    for _ in range(2 * n + 1):
-        prev, cur = seq[-2], seq[-1]
-        at = rows + cur
-        l = lo[at]
-        seq.append(np.where(l == prev, hi[at], l))
-        done |= (seq[-1] == prev) | (seq[-1] == cur)
-        if done.all():
-            break
-    seq = np.array(seq)
-    return seq, *_turns(seq)
 
 
 def _shape_error(n: int) -> ValueError:
@@ -436,7 +421,7 @@ def _associativity_violations(
     total = 0
     kept = np.empty(0, np.int64)  # witnesses as sorted keys (x*n + y)*n + z
     code = _power_sum_codes(n)
-    pair = code[lo] + code[hi]
+    pair = code.take(lo) + code.take(hi)
     pair_t = pair if commutative else pair.T.copy()
     ys = np.arange(n)[middles]
     # row k: the pairs x*y and y*z for the k-th middle y; views for a slice,
@@ -478,7 +463,7 @@ def _associativity_violations(
     return total, [(key // (n * n), key // n % n, key % n) for key in kept.tolist()]
 
 
-def _generating_set(lo: np.ndarray, hi: np.ndarray, commutative: bool = False) -> list[int]:
+def _generating_set(lo: np.ndarray, hi: np.ndarray, commutative: bool) -> list[int]:
     """Elements G whose basis vectors, with e's, generate the algebra Q[X]
     with e_a * e_b = e_lo[a, b] + e_hi[a, b]; for a single-valued table
     (lo = hi), generators of the closure of e under products.  commutative
@@ -509,12 +494,13 @@ def _generating_set(lo: np.ndarray, hi: np.ndarray, commutative: bool = False) -
         if not commutative:
             cells.append((rows[at][:, None] + fresh).ravel())
         cells = np.concatenate(cells)
-        # each product [u, v]; gathers by an intp index are the fast ones
-        u, v = lo[cells].astype(np.intp), hi[cells].astype(np.intp)
-        # [u, v] reaches both when one of them is reached or u = v
-        hit = reached[u] | reached[v] | (u == v)
-        reached[u[hit]] = True
-        reached[v[hit]] = True
+        # each product [u, v] reaches both when one of them is reached or
+        # u = v; take, unlike [], reads by a narrow index without a slow path
+        u, v = lo[cells], hi[cells]
+        ru = reached.take(u)
+        hit = ru | reached.take(v) | (u == v)
+        # the element of each hit product not known to be reached
+        reached[np.where(ru, v, u)[hit]] = True
         links = cells[~hit]
         fresh = (reached > was).nonzero()[0]
         if not len(fresh):

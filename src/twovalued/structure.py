@@ -144,7 +144,9 @@ def is_special(X: TwoValuedGroup) -> tuple[bool, list[tuple[int, int]]]:
 def _special_pairs(X: TwoValuedGroup) -> np.ndarray:
     """mask[x, y] says that x <= y is a special pair of X (see is_special)."""
     big = _orders(X) > 2
-    return np.triu(X.lo == X.hi) & big[:, None] & big
+    mask = (X.lo == X.hi) & big[:, None] & big
+    # most groups have none, and then the triangle is the mask itself
+    return np.triu(mask) if mask.any() else mask
 
 
 def squares_subgroup(X: TwoValuedGroup) -> frozenset[int]:

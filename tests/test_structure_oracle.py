@@ -484,9 +484,14 @@ def count_reruns(monkeypatch) -> list:
     """A list that gets one entry each time a power walk falls back from
     doubling to stepping one power at a time."""
     reruns = []
-    stepped = core._stepped_powers
-    monkeypatch.setattr(core, "_stepped_powers",
-                        lambda *args: reruns.append(args) or stepped(*args))
+    powers = core._power_table
+
+    def counted(lo, hi, rows, doubling):
+        if not doubling:
+            reruns.append(len(rows))
+        return powers(lo, hi, rows, doubling)
+
+    monkeypatch.setattr(core, "_power_table", counted)
     return reruns
 
 

@@ -39,11 +39,12 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def run(workload: str, seed: int, seconds: float, smoke: bool) -> dict:
-    """One perfbench run: its JSON result line, with the seed added."""
-    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+def run(workload: str, seed: int, seconds: float, smoke: bool, root: Path = ROOT) -> dict:
+    """One perfbench run of the checkout at root: its JSON result line,
+    with the seed added."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)] + ["--smoke"] * smoke
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"bench_trend: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
