@@ -217,8 +217,9 @@ def _orbit_space(A: FinAbelianGroup, p: np.ndarray) -> TwoValuedGroup:
     n = len(reps)
     orbit_of = np.searchsorted(reps, rep).astype(index_dtype(n))
     g = reps[:, None]
-    z1 = orbit_of[A._add_indices(g, reps)]
-    z2 = orbit_of[A._add_indices(g, p[reps])]
+    # take, unlike [], gathers by an int32 index without a slow path
+    z1 = orbit_of.take(A._add_indices(g, reps))
+    z2 = orbit_of.take(A._add_indices(g, p[reps]))
     # A.name_of of each representative, from one column of digits per factor
     digits = [(reps // place % d).astype(str).tolist() for d, place in zip(A.factors, A._places())]
     names = tuple(map(",".join, zip(*digits))) if digits else ("0",)
