@@ -38,7 +38,8 @@ from .constructions import (
     special_series,
     unipotent,
 )
-from .core import AmbiguousPower, TwoValuedGroup, _element, _generating_set, _orders, index_dtype
+from .core import (AmbiguousPower, TwoValuedGroup, _element, _generating_set, _orders,
+                   _power_table, index_dtype)
 from .cocycle import cohomology_invariant, extract_quasicocycle
 from .structure import _mismatches, _special_pairs, split_direct_factor
 
@@ -239,12 +240,11 @@ def _table_chain(t: np.ndarray) -> tuple[int, ...]:
         if bad.any():
             x, y = map(int, np.argwhere(bad)[0])
             raise NotAssociative(f"first failing triple: {(x, g, y)}")
-    # x^k for all x at once; a finished x stays at 0
-    orders = np.ones(n, dtype=np.intp)
-    acc = every
-    while (live := acc != 0).any():
-        acc = np.where(live, t[acc, every], 0)
-        orders += live
+    # with lo = hi the walk is x^(K+j) = x^K x^j; it stops first at
+    # x^(last + 2) = e, as x^(k+1) = x^(k-1) or x^k only for x^2 = e or x = e
+    flat = t.ravel()
+    orders = _power_table(flat, flat, every * n, True)[1] + 2
+    orders[0] = 1
     return _chain_from_counts(n, lambda k: np.count_nonzero(k % orders == 0))
 
 
@@ -449,12 +449,9 @@ def _initial_colors(X: TwoValuedGroup) -> np.ndarray:
         ((lo == mine) | (hi == mine)).sum(axis=1),
     ]
     try:
-        ords = _orders(X)
+        keys += [_orders(X), _special_pairs(X).sum(axis=1)]
     except AmbiguousPower:
         pass
-    else:
-        big = ords > 2
-        keys += [ords, (doubled & big & big[:, None]).sum(axis=1)]
     return _rank_rows(np.column_stack(keys).astype(np.int64))
 
 

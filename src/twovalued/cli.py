@@ -152,13 +152,17 @@ def read_group(path: str) -> TwoValuedGroup:
 
 
 def write_group(X: TwoValuedGroup, path: str):
-    """Write canonical GroupFile text; '-' writes stdout."""
+    """Write canonical GroupFile text; '-' writes stdout.  A file that
+    cannot be written raises ParseError, as one that cannot be read does."""
     text = group_to_json(X)
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 # --- command line -----------------------------------------------------------

@@ -112,7 +112,7 @@ class TwoValuedGroup:
 
     identity = 0
 
-    def __init__(self, names: Sequence[str], table, identity: int = 0):
+    def __init__(self, names: Sequence[str], table):
         """The group whose product i*j is the Pair table[i][j].  table is an
         n x n grid of Pairs of element indices; its cells follow the one rule
         of from_arrays and from_pairs, so a float, a string, None or an
@@ -130,7 +130,7 @@ class TwoValuedGroup:
             raise ValueError("table cells must be Pairs")
         # flat: numpy reads a grid of Pairs, tuple subclasses, about 7x slower
         cells = np.array([*chain.from_iterable(chain.from_iterable(table))]).reshape(n, n, 2)
-        self._init(names, cells[..., 0], cells[..., 1], identity)
+        self._init(names, cells[..., 0], cells[..., 1])
         vars(self)["table"] = table
 
     @classmethod
@@ -143,18 +143,16 @@ class TwoValuedGroup:
         except ValueError:  # numpy's word for a ragged row
             raise _shape_error(len(names)) from None
         X = cls.__new__(cls)
-        X._init(names, lo, hi, 0)
+        X._init(names, lo, hi)
         return X
 
-    def _init(self, names, lo, hi, identity):
+    def _init(self, names, lo, hi):
         """Validate the cells and keep lo and hi, which the group owns."""
         n = len(names)
         if n == 0:
             raise ValueError("empty element set")
         if len(set(names)) != n:
             raise ValueError("element names must be unique")
-        if identity != 0:
-            raise ValueError("identity must sit at index 0")
         if lo.shape != (n, n) or hi.shape != (n, n):
             raise _shape_error(n)
         _require_indices(lo, hi)

@@ -1,31 +1,36 @@
 """Exhaustive enumeration of small two-valued groups.
 
 enumerate_all fills the multiplication table cell by cell, depth first, and
-returns one group per isomorphism class.  Both searches keep the table in
-flat int lists and prune with one partial associativity check.  The
-involutive commutative search also prunes with three consequences of the
-axioms, so no class is lost:
+returns one group per isomorphism class.  Both modes run one search: it
+keeps the table in flat int lists, prunes with a partial associativity
+check and takes a cell's value from the equations that force it:
+
+* forcing: when the cell being filled is the only unknown term of an
+  associativity equation (x*y)*z = x*(y*z), the equation fixes its value.
+  Forcing drops only values that the check would reject at the same cell.
+
+A mode supplies the cells to fill: the involutive commutative mode the
+upper triangle, each cell with its mirror, where an equation and its mirror
+count once; the general mode every off-identity cell.  The involutive
+commutative mode also prunes with two consequences of the axioms, so no
+class is lost:
 
 * exchange: z in x*y implies x in y*z (e is in z*z, which lies in
   (x*y)*z = x*(y*z); so e is in x*w for some w in y*z, and the inverse of x
   is unique, so w = x).  Together with commutativity, "z in x*y" is a
   symmetric relation on {x, y, z}.
-* forcing: when the cell being filled is the only unknown term of an
-  associativity equation (x*y)*z = x*(y*z), the equation fixes its value.
 * type order: write x*x = [e, w]; the type of x is 0 for w = e, 1 for
   w = x and 2 otherwise.  Types are invariant under relabelling, so it is
   enough to search tables whose non-identity elements come in non-decreasing
   type.
 
-Completed tables pass verify_axioms.  The involutive commutative search
-keeps one per classify label.  The general search (any two-valued group)
+Completed tables pass verify_axioms.  The involutive commutative mode
+keeps one per classify label.  The general mode (any two-valued group)
 keeps a table only when witness_isomorphism finds no isomorphism to a
 table already kept, so it lists its classes in the order it finds them.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -69,9 +74,7 @@ def enumerate_all(
             budget = DEFAULT_BUDGET
     elif budget < 0:
         raise ValueError(f"node budget must be >= 0, not {budget}")
-    if involutive_commutative:
-        return _enumerate_involutive(k, budget)
-    return _enumerate_general(k, budget)
+    return _search(k, budget, involutive_commutative)
 
 
 def _blank_table(n: int) -> tuple[list[int], list[int], list[int]]:
@@ -122,34 +125,39 @@ def _checker(n: int, lo: list[int], hi: list[int], code: list[int]):
     return consistent
 
 
-def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
-    """The involutive commutative search; budget None is unlimited.
+def _search(n: int, budget: int | None, involutive: bool) -> list[TwoValuedGroup]:
+    """The search of both modes; budget None is unlimited.
 
-    The table is that of _blank_table; cells (i, j) with 1 <= i <= j are
-    filled in row-major order, each with its mirror (j, i).
+    The table is that of _blank_table.  The involutive commutative mode
+    fills the cells (i, j) with 1 <= i <= j, each with its mirror (j, i);
+    the general mode fills every off-identity cell.  Both go in row-major
+    order.
     """
     lo, hi, code = _blank_table(n)
     consistent = _checker(n, lo, hi, code)
-    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    # pos[x*n + y] is the fill position of cell (x, y); row and column e
-    # are known from the start
+    cells = [(i, j) for i in range(1, n) for j in range(i if involutive else 1, n)]
+    # flat[ci] holds the flat indices that cell ci sets: the cell and its
+    # mirror, or the cell twice; pos[x*n + y] is the fill position of cell
+    # (x, y), -1 on row and column e, which are known from the start
+    flat = [(i * n + j, j * n + i if involutive else i * n + j) for i, j in cells]
     pos = [-1] * (n * n)
-    for ci, (i, j) in enumerate(cells):
-        pos[i * n + j] = pos[j * n + i] = ci
+    for ci, (ij, ji) in enumerate(flat):
+        pos[ij] = pos[ji] = ci
     pair_of_code = {(1 << (8 * a)) + (1 << (8 * b)): (a, b) for a in range(n) for b in range(a, n)}
     diag_domain = [(0, w) for w in range(n)]
     offd_domain = [(a, b) for a in range(1, n) for b in range(a, n)]
+    every_pair = list(pair_of_code.values())
 
     # Equations to check at cell (i, j): the identity-free triples (x, y, z)
     # with i or j in {x, z} -- each cell of an equation contains x or z --
     # whose cells x*y and y*z are known by then.  For a symmetric table
-    # (x, y, z) and (z, y, x) give the same equation, so x <= z.
+    # (x, y, z) and (z, y, x) give the same equation, so there x <= z.
     # The ones known before cell (i, j) is filled can force its value.
     checks: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
     settled: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
     for x in range(1, n):
         for y in range(1, n):
-            for z in range(x, n):
+            for z in range(x if involutive else 1, n):
                 ready = max(pos[x * n + y], pos[y * n + z])
                 for ci in range(ready, len(cells)):
                     if {x, z} & set(cells[ci]):
@@ -186,6 +194,8 @@ def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
                 if rem or v not in pair_of_code or forced not in (None, v):
                     return []
                 forced = v
+        if not involutive:
+            return every_pair if forced is None else [pair_of_code[forced]]
         # exchange: x must lie in i*j whenever j is in x*i or i is in x*j,
         # and c may lie in i*j only if i is in j*c and j in i*c
         need = set()
@@ -209,6 +219,8 @@ def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
             domain = [pair_of_code[forced]] if pair_of_code[forced] in domain else []
         return [(a, b) for a, b in domain if ok[a] and ok[b] and need <= {a, b}]
 
+    # the involutive mode keys its groups by classify label and lists them
+    # in label order; the general mode keys them by the order found
     found: dict = {}
     nodes = 0
 
@@ -217,11 +229,15 @@ def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
         if ci == len(cells):
             X = _group(n, lo, hi)
             rep = verify_axioms(X)
-            if rep.is_two_valued_group and rep.is_commutative and rep.is_involutive:
-                found.setdefault(classify(X), X)
+            if not rep.is_two_valued_group:
+                return
+            if involutive:
+                if rep.is_commutative and rep.is_involutive:
+                    found.setdefault(str(classify(X)), X)
+            elif all(witness_isomorphism(X, R) is None for R in found.values()):
+                found[len(found)] = X
             return
-        i, j = cells[ci]
-        ij, ji = i * n + j, j * n + i
+        ij, ji = flat[ci]
         for a, b in candidates(ci):
             nodes += 1
             if budget is not None and nodes > budget:
@@ -235,59 +251,4 @@ def _enumerate_involutive(n: int, budget: int | None) -> list[TwoValuedGroup]:
         code[ij] = code[ji] = 0
 
     place(0)
-    return [found[label] for label in sorted(found, key=str)]
-
-
-def _enumerate_general(n: int, budget: int | None) -> list[TwoValuedGroup]:
-    """The general search; budget None is unlimited.
-
-    The table is that of _blank_table; the off-identity cells are filled in
-    row-major order.  After each cell, the partial associativity check runs
-    on the triples that hold i or j, and no element may have two inverse
-    candidates.
-    """
-    lo, hi, code = _blank_table(n)
-    consistent = _checker(n, lo, hi, code)
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    pos = {i * n + j: ci for ci, (i, j) in enumerate(cells)}
-    domain = [(a, b) for a in range(n) for b in range(a, n)]
-    checks: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
-    for x, y, z in itertools.product(range(1, n), repeat=3):
-        for ci in range(max(pos[x * n + y], pos[y * n + z]), len(cells)):
-            if {x, y, z} & set(cells[ci]):
-                checks[ci].append((x * n + y, y * n + z, x * n, z))
-
-    def inverses_ok(i: int, j: int) -> bool:
-        """No element x has two candidate inverses y, with e in x*y or y*x;
-        only i and j can have gained one."""
-        return all(
-            sum(lo[x * n + y] == 0 or lo[y * n + x] == 0 for y in range(n)) <= 1
-            for x in (i, j)
-        )
-
-    found: list[TwoValuedGroup] = []
-    nodes = 0
-
-    def place(ci: int):
-        nonlocal nodes
-        if ci == len(cells):
-            X = _group(n, lo, hi)
-            if verify_axioms(X).is_two_valued_group and all(
-                witness_isomorphism(X, R) is None for R in found
-            ):
-                found.append(X)
-            return
-        i, j = cells[ci]
-        ij = i * n + j
-        for a, b in domain:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(f"node budget {budget} exhausted")
-            lo[ij], hi[ij], code[ij] = a, b, (1 << (8 * a)) + (1 << (8 * b))
-            if consistent(checks[ci]) and inverses_ok(i, j):
-                place(ci + 1)
-        lo[ij] = hi[ij] = -1
-        code[ij] = 0
-
-    place(0)
-    return found
+    return [found[key] for key in sorted(found)]

@@ -137,16 +137,14 @@ def is_special(X: TwoValuedGroup) -> tuple[bool, list[tuple[int, int]]]:
     >>> is_special(special_series(2))  # 01*10 = [11, 11], and so on
     (True, [(1, 2), (1, 3), (2, 3)])
     """
-    witnesses = list(map(tuple, np.argwhere(_special_pairs(X)).tolist()))
+    witnesses = list(map(tuple, np.argwhere(np.triu(_special_pairs(X))).tolist()))
     return (bool(witnesses), witnesses)
 
 
 def _special_pairs(X: TwoValuedGroup) -> np.ndarray:
-    """mask[x, y] says that x <= y is a special pair of X (see is_special)."""
+    """mask[x, y] says that x, y is a special pair of X (see is_special)."""
     big = _orders(X) > 2
-    mask = (X.lo == X.hi) & big[:, None] & big
-    # most groups have none, and then the triangle is the mask itself
-    return np.triu(mask) if mask.any() else mask
+    return (X.lo == X.hi) & big[:, None] & big
 
 
 def squares_subgroup(X: TwoValuedGroup) -> frozenset[int]:

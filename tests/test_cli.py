@@ -218,6 +218,14 @@ class TestConstructVerifyClassify:
         assert code == 0
         assert len(read_group(path).names) == 20
 
+    @pytest.mark.parametrize("target", ["missing/g.json", "."], ids=["missing_dir", "directory"])
+    def test_construct_unwritable_output_is_an_error(self, target, tmp_path, capsys):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "construct", "--principal", "3", "-o", path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+
     def test_construct_requires_exactly_one_kind(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["construct", "--principal", "4", "--special", "2"])

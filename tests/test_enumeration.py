@@ -132,10 +132,24 @@ def test_exchange_check_sees_a_broken_table():
     assert (2, 1, 1) in exchange_failures(TwoValuedGroup.from_arrays("eab", lo, hi))
 
 
-@pytest.mark.parametrize("k, budget", [(5, 10), (6, 1000), (7, 10_000)])
-def test_budget_exhaustion_raises(k, budget):
-    with pytest.raises(BudgetExceeded):
-        enumerate_all(k, budget=budget)
+@pytest.mark.parametrize("k, involutive, budget, groups", [
+    pytest.param(5, True, 10, None, id="5-10"),
+    pytest.param(6, True, 1000, None, id="6-1000"),
+    pytest.param(7, True, 10_000, None, id="7-10000"),
+    # the fewest nodes the involutive searches need: one less runs out
+    pytest.param(5, True, 422, None, id="5-422"),
+    pytest.param(5, True, 423, 4, id="5-423"),
+    pytest.param(6, True, 5384, None, id="6-5384"),
+    pytest.param(6, True, 5385, 3, id="6-5385"),
+    # the general search forces values too (it needs 19,254 nodes)
+    pytest.param(4, False, 20_000, 7, id="general-4-20000"),
+])
+def test_budget_exhaustion_raises(k, involutive, budget, groups):
+    if groups is None:
+        with pytest.raises(BudgetExceeded):
+            enumerate_all(k, involutive, budget)
+    else:
+        assert len(enumerate_all(k, involutive, budget)) == groups
 
 
 def test_size_eight_is_a_usage_error(capsys):
