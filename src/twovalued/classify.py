@@ -38,8 +38,7 @@ from .constructions import (
     special_series,
     unipotent,
 )
-from .core import (AmbiguousPower, TwoValuedGroup, _element, _generating_set, _orders,
-                   _power_table, index_dtype)
+from .core import AmbiguousPower, TwoValuedGroup, _element, _generating_set, _orders, index_dtype
 from .cocycle import cohomology_invariant, extract_quasicocycle
 from .structure import _mismatches, _special_pairs, split_direct_factor
 
@@ -147,10 +146,8 @@ class ClassLabel:
     def unipotent_label(cls, n: int, m: int) -> "ClassLabel":
         if n < 1 or m < 0:
             raise ValueError("need n >= 1, m >= 0")
-        if n == 1:
-            return cls.principal_label(merge_chains((4,), (2,) * m))
-        if n == 2:
-            return cls.principal_label(merge_chains((4, 4), (2,) * m))
+        if n <= 2:
+            return cls.principal_label((2,) * m + (4,) * n)
         return cls(kind="unipotent", n=n, m=m)
 
     @classmethod
@@ -159,7 +156,7 @@ class ClassLabel:
             raise ValueError("need n >= 1, m >= 0")
         if n == 1:
             # the 3-element special group is the 3-element unipotent one
-            return cls.principal_label(merge_chains((4,), (2,) * m))
+            return cls.principal_label((2,) * m + (4,))
         return cls(kind="special", n=n, m=m)
 
     def size(self) -> int:
@@ -189,27 +186,25 @@ def realize(label: ClassLabel) -> TwoValuedGroup:
     return product_with_boolean(special_series(label.n), label.m)
 
 
-def _chains_with_product_up_to(limit: int):
-    """All divisibility chains (d1 | d2 | ... | dk), di >= 2, with product
-    <= limit; includes the empty chain."""
-    out = [()]
-    stack = [((), 1)]
-    while stack:
-        chain, prod = stack.pop()
-        last = chain[-1] if chain else 1
-        for d in range(2, limit // prod + 1):
-            if d % last == 0:
-                nxt = chain + (d,)
-                out.append(nxt)
-                stack.append((nxt, prod * d))
+def _chains_with_product(p: int, base: int = 1) -> list[tuple[int, ...]]:
+    """All divisibility chains d1 | ... | dk, di >= 2, of product p with
+    entries multiples of base; only (p,) has d1 > sqrt(p), as d1^2 <= d1 d2."""
+    if p == 1:
+        return [()]
+    out = [(p,)] if p % base == 0 else []
+    for d in range(max(base, 2), math.isqrt(p) + 1, base):
+        if p % (d * d) == 0:
+            out += [(d, *rest) for rest in _chains_with_product(p // d, d)]
     return out
 
 
 def all_labels_of_size(k: int) -> set[ClassLabel]:
     """Every isomorphism class of the given cardinality, by label
-    arithmetic: enumerate the three series, dedup through the canonical
-    constructors."""
-    labels = [ClassLabel.principal_label(chain) for chain in _chains_with_product_up_to(2 * k)]
+    arithmetic: a principal chain with r even entries has product 2k - 2^r,
+    and the canonical constructors dedup the three series."""
+    products = [2 * k - (1 << r) for r in range(k.bit_length() + 1)]
+    labels = [ClassLabel.principal_label(c) for p in products if p > 0
+              for c in _chains_with_product(p)]
     for family in (ClassLabel.unipotent_label, ClassLabel.special_label):
         n = 1
         while family(n, 0).size() <= k:
@@ -240,12 +235,18 @@ def _table_chain(t: np.ndarray) -> tuple[int, ...]:
         if bad.any():
             x, y = map(int, np.argwhere(bad)[0])
             raise NotAssociative(f"first failing triple: {(x, g, y)}")
-    # with lo = hi the walk is x^(K+j) = x^K x^j; it stops first at
-    # x^(last + 2) = e, as x^(k+1) = x^(k-1) or x^k only for x^2 = e or x = e
-    flat = t.ravel()
-    orders = _power_table(flat, flat, every * n, True)[1] + 2
-    orders[0] = 1
-    return _chain_from_counts(n, lambda k: np.count_nonzero(k % orders == 0))
+
+    def count(k: int) -> int:
+        """#{x : x^k = e}, by square-and-multiply on all x at once."""
+        power, base = np.zeros_like(every), every
+        while k:
+            if k & 1:
+                power = t[power, base]
+            base = t[base, base]
+            k >>= 1
+        return np.count_nonzero(power == 0)
+
+    return _chain_from_counts(n, count)
 
 
 def invariant_factors(G) -> tuple[int, ...]:
@@ -397,19 +398,18 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
     m = t - max(k - 1, 0)
     if (o > 1 and o != (1 << k) + 1) or m < 0:
         raise ValueError(f"orders in {{1,2,4}} but size {n} is not 2^(m+k-1) (2^k + 1)")
-    if k <= 2:
-        return ClassLabel.principal_label(merge_chains((4,) * k, (2,) * m))
-    # from rank 3 on the cohomology bit separates the two forms
-    Xp, split_m, _witnesses = split_direct_factor(X)
-    data = extract_quasicocycle(Xp)
-    if data.dim != k or split_m != m:
-        raise ValueError(
-            f"size {n} gives rank {k} and {m} C2 factors; the split gives "
-            f"{split_m} and rank {data.dim}"
-        )
-    if cohomology_invariant(data.phi):
-        return ClassLabel.principal_label(merge_chains((4,) * k, (2,) * m))
-    return ClassLabel.unipotent_label(k, m)
+    if k >= 3:
+        # from rank 3 on the cohomology bit separates the two forms
+        Xp, split_m, _witnesses = split_direct_factor(X)
+        data = extract_quasicocycle(Xp)
+        if data.dim != k or split_m != m:
+            raise ValueError(
+                f"size {n} gives rank {k} and {m} C2 factors; the split gives "
+                f"{split_m} and rank {data.dim}"
+            )
+        if not cohomology_invariant(data.phi):
+            return ClassLabel.unipotent_label(k, m)
+    return ClassLabel.principal_label((2,) * m + (4,) * k)
 
 
 def are_isomorphic(X: TwoValuedGroup, Z: TwoValuedGroup) -> bool:

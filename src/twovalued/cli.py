@@ -359,7 +359,7 @@ def cli_main(argv=None) -> int:
     mode.add_argument("--involutive-commutative", action="store_true",
                       help="restrict to involutive commutative groups (the default)")
     p.add_argument("--budget", type=_at_least(0), default=None,
-                   help="search node budget (default 50M from size 6 on)")
+                   help="search node budget (default 50M)")
     p.add_argument("--json", action="store_true",
                    help="also print each group as a GroupFile")
     p.set_defaults(fn=_cmd_enumerate)

@@ -190,7 +190,8 @@ def _reserve_table(group: str, n: int) -> np.ndarray:
     try:
         return np.empty((n, n), dtype=index_dtype(n))
     except (MemoryError, ValueError):  # ValueError: the byte count overflows
-        raise MemoryError(f"the table of {group}, {n:,} elements, does not fit") from None
+        size = f"{n:,}" if n < 1 << 64 else f"at least 2^{n.bit_length() - 1:,}"
+        raise MemoryError(f"the table of {group}, {size} elements, does not fit") from None
 
 
 def coset_group(A: FinAbelianGroup, iota: InvolutiveAutomorphism) -> TwoValuedGroup:
@@ -302,7 +303,7 @@ def product_with_boolean(X: TwoValuedGroup, m: int) -> TwoValuedGroup:
     if m == 0:
         return X
     n = len(X)
-    nw = 2 ** m
+    nw = 1 << m
     # the tables first: a size that does not fit fails here, before the
     # 2^m x 2^m shift table and the names
     name = f"a {n}-element group x C2^{m}"

@@ -55,9 +55,9 @@ def enumerate_all(
 ) -> list[TwoValuedGroup]:
     """All two-valued groups of size k up to isomorphism.
 
-    A node is one value tried in one cell.  Sizes below 6 run unbudgeted;
-    from size 6 on the default node budget is 50M.  The budget argument
-    overrides it, and BudgetExceeded is raised when the nodes run out.
+    A node is one value tried in one cell.  The default node budget is 50M;
+    the budget argument overrides it, and BudgetExceeded is raised when the
+    nodes run out.
     Sizes go up to 7 in involutive commutative mode and up to 4 in general
     mode.
 
@@ -70,8 +70,7 @@ def enumerate_all(
     if k > maxk:
         raise ValueError(f"enumeration supported up to size {maxk} in this mode")
     if budget is None:
-        if k >= 6:
-            budget = DEFAULT_BUDGET
+        budget = DEFAULT_BUDGET
     elif budget < 0:
         raise ValueError(f"node budget must be >= 0, not {budget}")
     return _search(k, budget, involutive_commutative)
@@ -125,8 +124,8 @@ def _checker(n: int, lo: list[int], hi: list[int], code: list[int]):
     return consistent
 
 
-def _search(n: int, budget: int | None, involutive: bool) -> list[TwoValuedGroup]:
-    """The search of both modes; budget None is unlimited.
+def _search(n: int, budget: int, involutive: bool) -> list[TwoValuedGroup]:
+    """The search of both modes, within budget nodes.
 
     The table is that of _blank_table.  The involutive commutative mode
     fills the cells (i, j) with 1 <= i <= j, each with its mirror (j, i);
@@ -240,7 +239,7 @@ def _search(n: int, budget: int | None, involutive: bool) -> list[TwoValuedGroup
         ij, ji = flat[ci]
         for a, b in candidates(ci):
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > budget:
                 raise BudgetExceeded(f"node budget {budget} exhausted")
             lo[ij] = lo[ji] = a
             hi[ij] = hi[ji] = b

@@ -185,6 +185,34 @@ class TestClassify:
         assert proc.stdout.strip() == "Principal(16,32)"
 
 
+def chains_with_product_up_to(limit: int):
+    """Reference: every divisibility chain (d1 | ... | dk), di >= 2, with
+    product <= limit, the empty chain included, by search over all d."""
+    out = [()]
+    stack = [((), 1)]
+    while stack:
+        chain, prod = stack.pop()
+        last = chain[-1] if chain else 1
+        for d in range(2, limit // prod + 1):
+            if d % last == 0:
+                nxt = chain + (d,)
+                out.append(nxt)
+                stack.append((nxt, prod * d))
+    return out
+
+
+def reference_labels_of_size(k: int) -> set[ClassLabel]:
+    """Every label of size k from every chain with product <= 2k and every
+    family member up to size k."""
+    labels = [ClassLabel.principal_label(chain) for chain in chains_with_product_up_to(2 * k)]
+    for family in (ClassLabel.unipotent_label, ClassLabel.special_label):
+        n = 1
+        while family(n, 0).size() <= k:
+            labels += [family(n, m) for m in range(k.bit_length())]
+            n += 1
+    return {lab for lab in labels if lab.size() == k}
+
+
 class TestAllLabelsOfSize:
     # label counts by size, cross-checked against the exhaustive search
     @pytest.mark.parametrize(
@@ -206,6 +234,29 @@ class TestAllLabelsOfSize:
         for k in range(1, 12):
             for lab in all_labels_of_size(k):
                 assert lab.size() == k
+
+    def test_matches_the_chain_search(self):
+        for k in range(1, 501):
+            assert all_labels_of_size(k) == reference_labels_of_size(k), k
+
+    def test_size_of_a_billion_in_one_gib(self):
+        # only the chains of the 31 candidate products 2k - 2^r are listed,
+        # not every chain with product <= 2k
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from twovalued import all_labels_of_size\n"
+            "for label in sorted(map(str, all_labels_of_size(10**9))):\n"
+            "    print(label)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+        )
+        assert proc.returncode == 0, proc.stderr
+        labels = proc.stdout.split()
+        assert len(labels) == 17
+        assert {"Principal(1999999998)", "Principal(1999999999)"} <= set(labels)
 
     def test_no_duplicate_canonical_forms(self):
         # exceptional identifications must already be canonicalized away

@@ -498,9 +498,14 @@ def test_oversized_construct_fails_with_exit_two():
      (["--unipotent", "11"], "unipotent(11), 2,098,176 elements"),
      (["--unipotent", "12"], "unipotent(12), 8,390,656 elements"),
      (["--unipotent", "20"], "unipotent(20), 549,756,338,176 elements"),
-     (["--principal", "1048576,1048576"], "principal(1048576,1048576), 549,755,813,890 elements")],
+     (["--principal", "1048576,1048576"], "principal(1048576,1048576), 549,755,813,890 elements"),
+     # counts of more than 4,300 digits, which str() refuses, by their power of two
+     (["--special", "100000"], "special_series(100000), at least 2^100,000 elements"),
+     (["--unipotent", "10000"], "unipotent(10000), at least 2^19,999 elements"),
+     (["--principal", "3", "-m", "1000000000"],
+      "a 2-element group x C2^1000000000, at least 2^1,000,000,001 elements")],
     ids=["special40", "principal2_m40", "unipotent11", "unipotent12", "unipotent20",
-         "principal2^20x2^20"],
+         "principal2^20x2^20", "special100000", "unipotent10000", "principal3_m10^9"],
 )
 def test_huge_construct_fails_fast(argv, group):
     # the table is allocated before the 2^40 element names are built, before
