@@ -13,7 +13,7 @@ canonicalized away (rank 1 and the rank-2 unipotent case).
 classify() runs the decision procedure on X = X' x C2^m, where X' has no
 single-valued C2 factor: detect special pairs (read n and m off |X|); when an
 element of order outside {1,2,4} exists, read the invariant factors of A
-(with X = A modulo negation) off the counts of element orders; otherwise
+(with X = A modulo negation) off the counts #{a : a^k = e}; otherwise
 the cocycle branch reads k and m off |X|, and only rank >= 3 splits and reads
 the cohomology bit: Principal(4^k, 2^m) and Unipotent(k, m) both have
 2^(m+k-1) (2^k + 1) elements, and they differ only from k = 3 on.  The first
@@ -236,17 +236,33 @@ def _table_chain(t: np.ndarray) -> tuple[int, ...]:
             x, y = map(int, np.argwhere(bad)[0])
             raise NotAssociative(f"first failing triple: {(x, g, y)}")
 
-    def count(k: int) -> int:
-        """#{x : x^k = e}, by square-and-multiply on all x at once."""
-        power, base = np.zeros_like(every), every
-        while k:
-            if k & 1:
-                power = t[power, base]
-            base = t[base, base]
-            k >>= 1
-        return np.count_nonzero(power == 0)
+    return _counted_chain(t, t, np.ones(n, np.intp))
 
-    return _chain_from_counts(n, count)
+
+def _counted_chain(lo: np.ndarray, hi: np.ndarray, weight: np.ndarray) -> tuple[int, ...]:
+    """Invariant-factor chain of the abelian group A in which element x of
+    the table lo/hi stands for weight[x] elements: A's table (lo = hi) or
+    A modulo negation.  Each count #{a : a^k = e} runs Montgomery's ladder
+    on (y^K, y^(K+1)) for all y at once: y^(2K) is the high element of
+    y^K * y^K, one take from the diagonal, and y^(2K+1) the element of
+    y^K * y^(K+1) other than y (square-and-multiply on a group table).
+    As x^(pq) = (x^q)^p, it climbs from the last counted q dividing k."""
+    square = hi.diagonal()
+    every = np.arange(len(lo))
+    last = (1, every)
+
+    def count(k: int) -> int:
+        nonlocal last
+        q, y = last if k % last[0] == 0 else (1, every)
+        a, b = y, square.take(y)  # y^K and y^(K+1), from K = 1
+        for bit in bin(k // q)[3:]:
+            l, h = lo[a, b], hi[a, b]
+            ab = np.where(l == y, h, l)
+            a, b = (ab, square.take(b)) if bit == "1" else (square.take(a), ab)
+        last = (k, a)
+        return int(weight[a == 0].sum())
+
+    return _chain_from_counts(int(weight.sum()), count)
 
 
 def invariant_factors(G) -> tuple[int, ...]:
@@ -261,8 +277,9 @@ def invariant_factors(G) -> tuple[int, ...]:
     if isinstance(G, FinAbelianGroup):
         return merge_chains(G.factors, ())
     t = np.asarray(G)
-    if t.ndim != 2 or len(t) != t.shape[1] or t.dtype.kind not in "iu":
-        raise ValueError(f"a group table is a square integer array, not {t.dtype} of {t.shape}")
+    if t.ndim != 2 or len(t) != t.shape[1] or not len(t) or t.dtype.kind not in "iu":
+        raise ValueError(f"a group table is a square integer array holding at least the "
+                         f"identity, not {t.dtype} of {t.shape}")
     return _table_chain(t)
 
 
@@ -297,10 +314,10 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
     The conditions are tested on blocks of rows of the pair table, for the
     at most four candidates z in x*y, r in t*z of each product.
     """
-    special = np.argwhere(_special_pairs(X))
+    orders = _orders(X)
+    special = np.argwhere(_special_pairs(X, orders > 2))
     if len(special):
         raise ValueError(f"group has special pairs, e.g. {tuple(special[0].tolist())}")
-    orders = _orders(X)
     if t is None:
         admissible = np.flatnonzero((orders == 3) | (orders > 4))
         if not len(admissible):
@@ -367,26 +384,29 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
     two-valued group (assumed valid; run verify_axioms first for untrusted
     input).
 
-    Steps, in order: special pairs (|X| = 2^m (2^n + 1)); order counts, when
-    an order lies outside {1, 2, 4} (X' = A/+- makes X = (A x C2^m)/+-);
-    otherwise the cocycle branch reads k and m off |X|, and only rank >= 3
-    splits and reads the cohomology bit.
+    Steps, in order: special pairs (|X| = 2^m (2^n + 1)); counts by
+    _counted_chain, when an order lies outside {1, 2, 4} (X' = A/+- makes
+    X = (A x C2^m)/+-); otherwise the cocycle branch reads k and m off |X|,
+    and only rank >= 3 splits and reads the cohomology bit.  Below rank 3
+    classify reads the squares off the diagonal and builds no power walk.
     """
     n = len(X)
-    if _special_pairs(X).any():
+    # x * x = [x^0, x^2] holds e, and e = 0 is the low element of a cell, so
+    # the high diagonal is every square; order > 2 is x^2 != e
+    square = X.hi.diagonal()
+    if _special_pairs(X, square != 0).any():
         m = (n & -n).bit_length() - 1
         sz = n >> m
         k = (sz - 1).bit_length() - 1
-        if sz != (1 << k) + 1 or k < 2:
+        if k < 2 or sz != (1 << k) + 1:
             raise ValueError(
                 f"special part has size {sz}, not of the form 2^n + 1 with n >= 2"
             )
         return ClassLabel.special_label(k, m)
-    orders = _orders(X)
-    if ((orders == 3) | (orders > 4)).any():
-        # X = A/+-: the orbit of a has order ord(a) and 1 or 2 elements
-        sizes = 1 + (orders > 2)
-        chain = _chain_from_counts(int(sizes.sum()), lambda k: int(sizes[k % orders == 0].sum()))
+    # an order outside {1, 2, 4} is some x^4 != e, and x^4 = (x^2)^2: in
+    # A/+- the powers of x = [a] are x^k = [k a]
+    if square.take(square).any():
+        chain = _counted_chain(X.lo, X.hi, 1 + (square != 0))
         if ClassLabel.principal_label(chain).size() != n:
             raise ValueError(f"order counts give {chain}, not a group of size {n}")
         return ClassLabel.principal_label(chain)
@@ -449,7 +469,8 @@ def _initial_colors(X: TwoValuedGroup) -> np.ndarray:
         ((lo == mine) | (hi == mine)).sum(axis=1),
     ]
     try:
-        keys += [_orders(X), _special_pairs(X).sum(axis=1)]
+        orders = _orders(X)
+        keys += [orders, _special_pairs(X, orders > 2).sum(axis=1)]
     except AmbiguousPower:
         pass
     return _rank_rows(np.column_stack(keys).astype(np.int64))

@@ -192,40 +192,32 @@ class TwoValuedGroup:
         reason: x*x^k and x^k*x differ, x^(k-1) is missing from x*x^k, or
         there is no return to e within 2n+2 steps.
 
-        The powers are first found by doubling (_power_table), in about
-        log2 of the longest walk rounds, and every step is then checked
-        against the recurrence.  Where a check fails, which happens only on
-        tables that are no two-valued group, the recurrence is stepped one
-        power at a time instead, so the walk is the same either way."""
+        The walk steps one power at a time (_power_table), and the faults
+        are read off that same table."""
         n = len(self)
         lo, hi = self.lo.ravel(), self.hi.ravel()
         every = np.arange(n)
         rows = every * n
-        for doubling in (True, False):
-            seq, last, stopped = _power_table(lo, hi, rows, doubling)
-            # row k - 1 of these is step k, from x^(k-1) and x^k to x^(k+1)
-            prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
-            at = rows + cur
-            l, h = lo[at], hi[at]
-            # the cells x^k * x, gathered: no n x n transpose
-            at = rows.take(cur)
-            at += every
-            asym = (lo[at] != l) | (hi[at] != h)
-            if not doubling or not (asym | (l != np.minimum(prev, nxt))
-                                    | (h != np.maximum(prev, nxt))).any():
-                break
+        seq, last, stopped = _power_table(lo, hi, rows)
+        # row k - 1 of these is step k, from x^(k-1) and x^k to x^(k+1)
+        prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
+        at = rows + cur
+        l, h = lo[at], hi[at]
+        # the cells x^k * x, gathered: no n x n transpose
+        at = rows.take(cur)
+        at += every
+        asym = (lo[at] != l) | (hi[at] != h)
         k, end = last + 1, nxt[last, every]
         orders = np.where(end == 0, k + 1, 2 * k + (end != prev[last, every]))
         orders[0] = 1
         faults: dict[int, str] = {}
-        if not doubling:
-            branch = (asym | ((l != prev) & (h != prev))) & (np.arange(len(l))[:, None] <= last)
-            branch[:, 0] = False
-            first = branch.argmax(axis=0)
-            for x in branch.any(axis=0).nonzero()[0].tolist():
-                why = ("x*x^k and x^k*x differ" if asym[first[x], x]
-                       else "x^(k-1) missing from x*x^k")
-                faults[x] = f"{why} for x={x}, k={first[x] + 1}"
+        branch = (asym | ((l != prev) & (h != prev))) & (np.arange(len(l))[:, None] <= last)
+        branch[:, 0] = False
+        first = branch.argmax(axis=0)
+        for x in branch.any(axis=0).nonzero()[0].tolist():
+            why = ("x*x^k and x^k*x differ" if asym[first[x], x]
+                   else "x^(k-1) missing from x*x^k")
+            faults[x] = f"{why} for x={x}, k={first[x] + 1}"
         stopped &= orders <= 2 * n + 2
         for x in (~stopped).nonzero()[0].tolist():
             faults.setdefault(x, f"power sequence of x={x} never returns to e")
@@ -292,44 +284,32 @@ def product_fold(X: TwoValuedGroup, m: Iterable[int], b: int) -> tuple[int, ...]
     return tuple(sorted(X.lo[m, b].tolist() + X.hi[m, b].tolist()))
 
 
-def _power_table(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
-                 doubling: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _power_table(lo: np.ndarray, hi: np.ndarray,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(seq, last, stopped) for the raveled table lo/hi, rows = x * n:
     seq[k, x] = x^k up to a k where every walk has stopped, or up to
     k = 2n+2.  Step last[x] + 1 is the first at which x^(k+1) is e, x^(k-1)
     or x^k, where stopped[x], and the last step of seq elsewhere; the walk
     of e stops at once.
 
-    Each round doubles the powers known.  With doubling, those up to K
-    give x^(K+j) for j = 1..K at once, as the element of x^K * x^j other
-    than x^(K-j).  That holds in every two-valued group, not in every
-    table: TwoValuedGroup._walk checks the recurrence after.  Without, the
-    round steps K times: x^(k+1) is the element of x * x^k other than
-    x^(k-1), or its low element where x^(k-1) is missing.  A look for the
-    stops costs about as much as a round and a walk turns by k = n in a
-    group, so the looks start past k = min(n, 8), after the turn of most
-    walks of small order."""
+    Each round doubles the powers known by stepping: x^(k+1) is the element
+    of x * x^k other than x^(k-1), or its low element where x^(k-1) is
+    missing.  A look for the stops costs about as much as a round and a
+    walk turns by k = n in a group, so the looks start past k = min(n, 8),
+    after the turn of most walks of small order, and the rounds end at
+    k = n + 2 before they go on to the cap."""
     n = len(rows)
     cap = 2 * n + 3
-    seq = np.zeros((2, n), lo.dtype)
-    seq[1] = np.arange(n)
+    seq = [np.zeros(n, lo.dtype), np.arange(n, dtype=lo.dtype)]
     while True:
-        top = len(seq) - 1
-        m = min(top, cap - 1 - top)
-        if doubling:
-            at = rows.take(seq[top]) + seq[1 : m + 1]
+        end = n + 3 if len(seq) < n + 3 else cap
+        for _ in range(min(len(seq) - 1, end - len(seq))):
+            at = rows + seq[-1]
             l = lo[at]
-            new = np.where(l == seq[top - 1 :: -1][:m], hi[at], l)
-        else:
-            new = [seq[top - 1], seq[top]]
-            for _ in range(m):
-                at = rows + new[-1]
-                l = lo[at]
-                new.append(np.where(l == new[-2], hi[at], l))
-            new = new[2:]
-        seq = np.concatenate((seq, new))
+            seq.append(np.where(l == seq[-2], hi[at], l))
         if len(seq) > min(n, 8):
-            prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
+            table = np.array(seq)
+            prev, cur, nxt = table[:-2], table[1:-1], table[2:]
             stop = (nxt == 0) | (nxt == prev) | (nxt == cur)
             stop[:, 0] = True
             last = stop.argmax(axis=0)
@@ -337,7 +317,7 @@ def _power_table(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
             if len(seq) == cap or stopped.all():
                 last[~stopped] = len(stop) - 1
                 # a round overshoots: keep the rows up to the last stop
-                return seq[: last.max() + 3], last, stopped
+                return table[: last.max() + 3], last, stopped
 
 
 def _shape_error(n: int) -> ValueError:

@@ -137,13 +137,13 @@ def is_special(X: TwoValuedGroup) -> tuple[bool, list[tuple[int, int]]]:
     >>> is_special(special_series(2))  # 01*10 = [11, 11], and so on
     (True, [(1, 2), (1, 3), (2, 3)])
     """
-    witnesses = list(map(tuple, np.argwhere(np.triu(_special_pairs(X))).tolist()))
+    witnesses = list(map(tuple, np.argwhere(np.triu(_special_pairs(X, _orders(X) > 2))).tolist()))
     return (bool(witnesses), witnesses)
 
 
-def _special_pairs(X: TwoValuedGroup) -> np.ndarray:
-    """mask[x, y] says that x, y is a special pair of X (see is_special)."""
-    big = _orders(X) > 2
+def _special_pairs(X: TwoValuedGroup, big: np.ndarray) -> np.ndarray:
+    """mask[x, y] says that x, y is a special pair of X (see is_special),
+    for big[x] that says x has order > 2."""
     return (X.lo == X.hi) & big[:, None] & big
 
 

@@ -4,12 +4,13 @@ import importlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import twovalued
-from twovalued.core import _generating_set, verify_axioms
+from twovalued.core import TwoValuedGroup, _generating_set, verify_axioms
 from twovalued.constructions import (
     FinAbelianGroup,
     double,
@@ -137,6 +138,15 @@ class TestClassify:
         X = product_with_boolean(unipotent(3), 1)
         assert str(classify(X)) == "Unipotent(3,1)"
 
+    def test_special_part_of_size_one_is_a_named_error(self):
+        # a 4-element table, no group, whose a*b = [c, c] is a special pair:
+        # the special part 4 / 2^2 = 1 has no rank, and 1 << -1 is not taken
+        lo = [[0, 1, 2, 3], [1, 0, 3, 1], [2, 3, 0, 1], [3, 1, 1, 0]]
+        hi = [[0, 1, 2, 3], [1, 3, 3, 2], [2, 3, 3, 2], [3, 2, 2, 0]]
+        X = TwoValuedGroup.from_arrays("eabc", lo, hi)
+        with pytest.raises(ValueError, match="special part has size 1, not of the form"):
+            classify(X)
+
     def test_only_cocycle_branch_splits_c2_factors(self, monkeypatch):
         # X = X' x C2^m has the special pairs of X' and its orders outside
         # {1, 2, 4}, so the principal and special branches never split
@@ -183,6 +193,19 @@ class TestClassify:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "Principal(16,32)"
+
+    def test_cyclic_principal_branch_peaks_below_four_bytes_a_cell(self):
+        # the squares are a view of the diagonal and the counts gather n
+        # cells a step, so only the special-pair mask is n x n
+        X = principal(2047)
+        n = len(X)
+        tracemalloc.start()
+        try:
+            assert str(classify(X)) == "Principal(2047)"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n
 
 
 def chains_with_product_up_to(limit: int):
@@ -282,8 +305,9 @@ class TestInvariantFactors:
         assert invariant_factors(res.table) == (3, 3)
         assert invariant_factors(res.table.tolist()) == (3, 3)
 
-    @pytest.mark.parametrize("table", [[[0, 1]], [0, 1], [[0.0, 1.0], [1.0, 0.0]]],
-                             ids=["not_square", "one_dimensional", "float"])
+    @pytest.mark.parametrize("table", [[[0, 1]], [0, 1], [[0.0, 1.0], [1.0, 0.0]],
+                                       np.zeros((0, 0), dtype=int)],
+                             ids=["not_square", "one_dimensional", "float", "empty"])
     def test_rejects_a_table_that_is_no_square_integer_array(self, table):
         with pytest.raises(ValueError, match="square integer array"):
             invariant_factors(table)

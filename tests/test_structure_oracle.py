@@ -12,8 +12,9 @@ acceptance-sweep label is checked with one seeded relabelling.  The mul
 closure checks every product of a reconstructed table of at most
 CHECKED_PRODUCTS cells and that many seeded products of a larger one; the
 chain is recomputed from the whole table.  The power walk is also checked
-on the three groups of perfbench with the longest walks, and on random
-tables where its doubling check fails and the walk is stepped instead.
+on the three groups of perfbench with the longest walks and on random
+involutive tables, and classify's principal chain against the one read
+off the orders.
 """
 
 import itertools
@@ -23,8 +24,8 @@ import numpy as np
 import pytest
 
 from test_acceptance import build, sweep_labels
-from twovalued import core
 from twovalued.classify import (
+    ClassLabel,
     NonUniquePair,
     Timeout,
     _chain_from_counts,
@@ -480,21 +481,6 @@ def assert_walk_matches_reference(X: TwoValuedGroup):
         assert [power(X, x, k) for k in exponents] == [seq[abs(k) % m] for k in exponents]
 
 
-def count_reruns(monkeypatch) -> list:
-    """A list that gets one entry each time a power walk falls back from
-    doubling to stepping one power at a time."""
-    reruns = []
-    powers = core._power_table
-
-    def counted(lo, hi, rows, doubling):
-        if not doubling:
-            reruns.append(len(rows))
-        return powers(lo, hi, rows, doubling)
-
-    monkeypatch.setattr(core, "_power_table", counted)
-    return reruns
-
-
 @pytest.mark.parametrize("seed", range(60))
 def test_walk_matches_reference_on_broken_tables(seed):
     rng = random.Random(seed)
@@ -512,28 +498,44 @@ HIGH_ORDER = [("principal", (255,), 0), ("principal", (64,), 2), ("principal", (
 
 @pytest.mark.parametrize("label", HIGH_ORDER, ids=["principal255", "principal64xC2^2",
                                                    "principal3_9_9"])
-def test_walk_matches_reference_on_high_order_groups(label, monkeypatch):
-    # the doubled walk stands on valid groups, plain and relabelled; with
-    # cells corrupted it may be rerun step by step, and still matches
+def test_walk_matches_reference_on_high_order_groups(label):
+    # valid groups, plain and relabelled, and with cells corrupted
     X = build(*label)
     Y, _ = relabel(X, seed=len(X))
-    reruns = count_reruns(monkeypatch)
     for T in (X, Y):
         assert_walk_matches_reference(T)
-    assert reruns == []
     rng = random.Random(len(X))
     for symmetric in (True, False):
         assert_walk_matches_reference(corrupted(Y, rng.randrange(1, 4), rng, symmetric))
 
 
-def test_walk_reruns_step_by_step_where_doubling_fails(monkeypatch):
-    # on random symmetric tables of 2 to 5 elements the doubling check
-    # fails about half the time; both ways must give the reference walk
-    reruns = count_reruns(monkeypatch)
+def test_walk_matches_reference_on_random_involutive_tables():
+    # tables of 2 to 5 elements whose walks end in every possible way
     rng = random.Random("rerun")
     for _ in range(60):
         assert_walk_matches_reference(random_involutive_table(rng.randrange(2, 6), rng))
-    assert 15 <= len(reruns) <= 45
+
+
+def reference_principal_chain(orders) -> tuple[int, ...]:
+    """The chain of X = A/+- off its orders: the orbit of a has order ord(a)
+    and 1 or 2 elements."""
+    orders = np.array(orders)
+    sizes = 1 + (orders > 2)
+    return _chain_from_counts(int(sizes.sum()), lambda k: int(sizes[k % orders == 0].sum()))
+
+
+def test_counted_chain_matches_order_counts():
+    # classify counts the principal chain by its ladder, not off the orders
+    seen = 0
+    for i, label in enumerate(sweep_labels() + HIGH_ORDER):
+        X = build(*label)
+        for T in (X, relabel(X, seed=i)[0]):
+            orders = [order(T, x) for x in range(len(T))]
+            if is_special(T)[0] or not set(orders) - {1, 2, 4}:
+                continue
+            seen += 1
+            assert classify(T) == ClassLabel.principal_label(reference_principal_chain(orders))
+    assert seen == 612
 
 
 def split_outcome(fn, X: TwoValuedGroup):
@@ -601,6 +603,18 @@ def test_witness_search_spends_the_nodes_of_the_full_scan(label, seed, nodes):
     assert is_homomorphism(X, Z, f).is_homomorphism
     with pytest.raises(Timeout):
         witness_isomorphism(X, Z, node_budget=nodes - 1)
+
+
+@pytest.mark.parametrize("label", [("principal", (3, 9), 1), ("special", 3, 1),
+                                   ("principal", (4, 4), 1), ("unipotent", 2, 2)],
+                         ids=["principal", "special", "rank2", "unipotent2"])
+def test_classify_builds_no_walk(label):
+    # below rank 3 classify reads the squares off the diagonal and counts
+    # by its ladder, so no power walk is built
+    X = build(*label)
+    for T in (X, relabel(X, seed=len(X))[0]):
+        classify(T)
+        assert "_walk" not in vars(T)
 
 
 def test_array_paths_never_build_the_pair_view():
