@@ -394,7 +394,9 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
     # x * x = [x^0, x^2] holds e, and e = 0 is the low element of a cell, so
     # the high diagonal is every square; order > 2 is x^2 != e
     square = X.hi.diagonal()
-    if _special_pairs(X, square != 0).any():
+    big = square != 0
+    step = max(1, (1 << 17) // n)  # rows per block of the mask: one up to n = 362
+    if any(_special_pairs(X, big, slice(a, a + step)).any() for a in range(0, n, step)):
         m = (n & -n).bit_length() - 1
         sz = n >> m
         k = (sz - 1).bit_length() - 1
@@ -406,7 +408,7 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
     # an order outside {1, 2, 4} is some x^4 != e, and x^4 = (x^2)^2: in
     # A/+- the powers of x = [a] are x^k = [k a]
     if square.take(square).any():
-        chain = _counted_chain(X.lo, X.hi, 1 + (square != 0))
+        chain = _counted_chain(X.lo, X.hi, 1 + big)
         if ClassLabel.principal_label(chain).size() != n:
             raise ValueError(f"order counts give {chain}, not a group of size {n}")
         return ClassLabel.principal_label(chain)

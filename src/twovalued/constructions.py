@@ -69,10 +69,7 @@ class FinAbelianGroup:
 
     @property
     def size(self) -> int:
-        n = 1
-        for d in self.factors:
-            n *= d
-        return n
+        return math.prod(self.factors)
 
     def __len__(self) -> int:
         return self.size
@@ -112,17 +109,10 @@ class FinAbelianGroup:
         return [math.prod(self.factors[k + 1:]) for k in range(len(self.factors))]
 
     def _add_indices(self, a, b) -> np.ndarray:
-        """Elementwise index of a + b over broadcastable index arrays: the
-        indices are added as integers, then each mixed-radix digit sum that
-        reaches its factor d gives back d times the digit's place value."""
-        dt = np.int32 if 2 * self.size < 1 << 31 else np.int64
-        a = np.asarray(a, dtype=dt)
-        b = np.asarray(b, dtype=dt)
-        out = a + b
-        for d, place in zip(self.factors, self._places()):
-            carry = np.greater_equal(b // place % d, d - a // place % d)
-            np.subtract(out, d * place, out=out, where=carry)
-        return out
+        """Elementwise index of a + b over broadcastable index arrays, from
+        the sum of each mixed-radix digit pair modulo its factor."""
+        return sum((a // place % d + b // place % d) % d * place
+                   for d, place in zip(self.factors, self._places()))
 
     def _neg_indices(self) -> np.ndarray:
         """The index of -g for every element index g, digit by digit."""
@@ -184,11 +174,11 @@ class InvolutiveAutomorphism:
         return cls(A, tuple(A.index(f(A.element(i))) for i in range(A.size)))
 
 
-def _reserve_table(group: str, n: int) -> np.ndarray:
-    """An uninitialised n x n index table for the named group: MemoryError
-    here when it cannot fit, before the work that grows with the group."""
+def _reserve_table(group: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised n x n lo and hi index tables, which the named group fills
+    and keeps: MemoryError here when they cannot fit, before the work."""
     try:
-        return np.empty((n, n), dtype=index_dtype(n))
+        return np.empty((n, n), dtype=index_dtype(n)), np.empty((n, n), dtype=index_dtype(n))
     except (MemoryError, ValueError):  # ValueError: the byte count overflows
         size = f"{n:,}" if n < 1 << 64 else f"at least 2^{n.bit_length() - 1:,}"
         raise MemoryError(f"the table of {group}, {size} elements, does not fit") from None
@@ -203,28 +193,40 @@ def coset_group(A: FinAbelianGroup, iota: InvolutiveAutomorphism) -> TwoValuedGr
     """
     if iota.group != A:
         raise ValueError("automorphism belongs to a different group")
-    return _orbit_space(A, iota._array)
+    fixed = np.count_nonzero(iota._array == np.arange(A.size))
+    return _orbit_space(A, iota._array, *_reserve_table(f"{A}/iota", (A.size + fixed) // 2))
 
 
-def _orbit_space(A: FinAbelianGroup, p: np.ndarray) -> TwoValuedGroup:
+def _orbit_space(A: FinAbelianGroup, p: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> TwoValuedGroup:
     """coset_group for the involutive automorphism with index map p, which
     the caller vouches for: the families build their own maps and skip the
-    InvolutiveAutomorphism checks."""
+    InvolutiveAutomorphism checks.  lo and hi come from _reserve_table, and
+    are filled in blocks of rows of about 128K cells, then kept.
+
+    Each factor's digits are read once, for the names and for a spread
+    index: the digits in the radix 2d - 1 per factor d, in which an index
+    sum carries nothing, so that cell maps it to the orbit of g + h."""
     # the orbit of g is {g, iota(g)}; its smallest index is its smallest
     # tuple, since A.element is lex-increasing in the index
     every = np.arange(A.size)
     rep = np.minimum(every, p)
     reps = np.flatnonzero(rep == every)
-    n = len(reps)
-    orbit_of = np.searchsorted(reps, rep).astype(index_dtype(n))
-    g = reps[:, None]
-    # take, unlike [], gathers by an int32 index without a slow path
-    z1 = orbit_of.take(A._add_indices(g, reps))
-    z2 = orbit_of.take(A._add_indices(g, p[reps]))
-    # A.name_of of each representative, from one column of digits per factor
-    digits = [(reps // place % d).astype(str).tolist() for d, place in zip(A.factors, A._places())]
-    names = tuple(map(",".join, zip(*digits))) if digits else ("0",)
-    return TwoValuedGroup.from_arrays(names, np.minimum(z1, z2), np.maximum(z1, z2))
+    spread, cell, digits = np.zeros_like(every), np.zeros(1, np.intp), []
+    for d, place in zip(A.factors[::-1], A._places()[::-1]):
+        digit = every // place % d
+        spread += digit * len(cell)
+        cell = (np.arange(2 * d - 1)[:, None] % d * place + cell).ravel()
+        digits.insert(0, digit[reps].astype(str).tolist())
+    cell = np.searchsorted(reps, rep).astype(lo.dtype).take(cell)
+    g, h = spread[reps], spread[p[reps]]
+    step = max(1, (1 << 17) // len(reps))
+    for a0 in range(0, len(reps), step):
+        rows = slice(a0, a0 + step)
+        z1, z2 = cell.take(g[rows, None] + g), cell.take(g[rows, None] + h)
+        np.minimum(z1, z2, out=lo[rows])
+        np.maximum(z1, z2, out=hi[rows])
+    return TwoValuedGroup._adopt(map(",".join, zip(*digits)) if digits else ("0",), lo, hi)
 
 
 def principal(*chain: int) -> TwoValuedGroup:
@@ -238,9 +240,9 @@ def principal(*chain: int) -> TwoValuedGroup:
             raise ValueError(f"chain {chain} is not ordered by divisibility")
     A = FinAbelianGroup(tuple(chain))
     # negation fixes the 2^r elements of order <= 2, r the even factors
-    _reserve_table(f"principal({','.join(map(str, chain))})",
-                   (A.size + 2 ** sum(d % 2 == 0 for d in chain)) // 2)
-    return _orbit_space(A, A._neg_indices())
+    tables = _reserve_table(f"principal({','.join(map(str, chain))})",
+                            (A.size + 2 ** sum(d % 2 == 0 for d in chain)) // 2)
+    return _orbit_space(A, A._neg_indices(), *tables)
 
 
 def unipotent(n: int) -> TwoValuedGroup:
@@ -252,11 +254,12 @@ def unipotent(n: int) -> TwoValuedGroup:
     if n < 1:
         raise ValueError("rank must be >= 1")
     A = FinAbelianGroup((2,) * (2 * n))
-    _reserve_table(f"unipotent({n})", 2 ** (2 * n - 1) + 2 ** (n - 1))  # iota fixes the 2^n (0, b)
+    # iota fixes the 2^n elements (0, b)
+    tables = _reserve_table(f"unipotent({n})", 2 ** (2 * n - 1) + 2 ** (n - 1))
     # the index is the bit string a|b, first n coordinates a (high bits) and
     # last n coordinates b; iota(a, b) = (a, a + b) xors a into the low bits
     g = np.arange(A.size)
-    return _orbit_space(A, g ^ (g >> n))
+    return _orbit_space(A, g ^ (g >> n), *tables)
 
 
 def special_series(n: int) -> TwoValuedGroup:
@@ -277,18 +280,18 @@ def special_series(n: int) -> TwoValuedGroup:
     nv = 2 ** n
     s = nv  # index of the extra element
     size = nv + 1
-    lo = _reserve_table(f"special_series({n})", size)
+    lo, hi = _reserve_table(f"special_series({n})", size)
     # V x V: x*y = [x+y, x+y], the xor of the masks (e doubles, x*x = [e, .])
     lo[:nv, :nv] = np.bitwise_xor.outer(np.arange(nv), np.arange(nv))
     # row and column of s: s*e = [s, s], s*x = [x, x], s*s = [e, e]
     edge = np.arange(size)
     edge[0], edge[s] = s, 0
     lo[s, :] = lo[:, s] = edge
-    hi = lo.copy()
+    hi[...] = lo
     x = np.arange(1, nv)
     hi[x, x] = s  # x*x = [e, s]
     names = ["e", *(format(v, f"0{n}b") for v in range(1, nv)), "s"]
-    return TwoValuedGroup.from_arrays(names, lo, hi)
+    return TwoValuedGroup._adopt(names, lo, hi)
 
 
 def product_with_boolean(X: TwoValuedGroup, m: int) -> TwoValuedGroup:
@@ -306,8 +309,7 @@ def product_with_boolean(X: TwoValuedGroup, m: int) -> TwoValuedGroup:
     nw = 1 << m
     # the tables first: a size that does not fit fails here, before the
     # 2^m x 2^m shift table and the names
-    name = f"a {n}-element group x C2^{m}"
-    lo, hi = _reserve_table(name, n * nw), _reserve_table(name, n * nw)
+    lo, hi = _reserve_table(f"a {n}-element group x C2^{m}", n * nw)
     dt = lo.dtype
     shift = np.bitwise_xor.outer(np.arange(nw), np.arange(nw)).astype(dt) * dt.type(n)
     shift = shift[:, None, :, None]  # (w1, ., w2, .) -> (w1 ^ w2) * n
@@ -315,11 +317,11 @@ def product_with_boolean(X: TwoValuedGroup, m: int) -> TwoValuedGroup:
         np.add(shift, part.astype(dt)[:, None, :], out=table.reshape(nw, n, nw, n))
     bits = [format(w, f"0{m}b") for w in range(nw)]  # the coordinates of each w
     names = [f"{x}|{b}" for b in bits for x in X.names]
-    return TwoValuedGroup.from_arrays(names, lo, hi)
+    return TwoValuedGroup._adopt(names, lo, hi)
 
 
 def double(A: FinAbelianGroup) -> TwoValuedGroup:
     """The doubled single-valued group: identity automorphism, so every
     product is a doubled pair [g+h, g+h].  Involutive only when A is
     Boolean."""
-    return _orbit_space(A, np.arange(A.size))
+    return _orbit_space(A, np.arange(A.size), *_reserve_table(f"double({A})", A.size))

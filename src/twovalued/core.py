@@ -130,8 +130,8 @@ class TwoValuedGroup:
             raise ValueError("table cells must be Pairs")
         # flat: numpy reads a grid of Pairs, tuple subclasses, about 7x slower
         cells = np.array([*chain.from_iterable(chain.from_iterable(table))]).reshape(n, n, 2)
-        self._init(names, cells[..., 0], cells[..., 1])
-        vars(self)["table"] = table
+        X = self._adopt(names, cells[..., 0], cells[..., 1])
+        vars(self).update(vars(X), table=table)
 
     @classmethod
     def from_arrays(cls, names: Sequence[str], lo, hi) -> "TwoValuedGroup":
@@ -142,12 +142,13 @@ class TwoValuedGroup:
             lo, hi = np.array(lo, order="C"), np.array(hi, order="C")
         except ValueError:  # numpy's word for a ragged row
             raise _shape_error(len(names)) from None
-        X = cls.__new__(cls)
-        X._init(names, lo, hi)
-        return X
+        return cls._adopt(names, lo, hi)
 
-    def _init(self, names, lo, hi):
-        """Validate the cells and keep lo and hi, which the group owns."""
+    @classmethod
+    def _adopt(cls, names: Sequence[str], lo: np.ndarray, hi: np.ndarray) -> "TwoValuedGroup":
+        """The group of the cells lo and hi, validated and kept uncopied; the
+        families pass fresh arrays straight here, past from_arrays' copy."""
+        names = tuple(names)
         n = len(names)
         if n == 0:
             raise ValueError("empty element set")
@@ -166,7 +167,9 @@ class TwoValuedGroup:
         lo, hi = (a.astype(index_dtype(n), copy=False) for a in (lo, hi))
         lo.setflags(write=False)
         hi.setflags(write=False)
-        vars(self).update(names=names, lo=lo, hi=hi)
+        X = cls.__new__(cls)
+        vars(X).update(names=names, lo=lo, hi=hi)
+        return X
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -370,16 +373,17 @@ def _associativity_violations(
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """The number of triples (x, y, z) with y in middles and
     (x*y)*z != x*(y*z) as 4-element multisets, and the lexicographically
-    first MAX_WITNESSES_PER_TAG of them.  middles is an increasing index
-    array, or a slice (slice(None) for all n); commutative says lo and hi
-    are symmetric.
+    first MAX_WITNESSES_PER_TAG of them.  middles is an increasing intp
+    index array, possibly empty, or a slice (slice(None) for all n);
+    commutative says lo and hi are symmetric.
 
     With middles = {e} and a generating set (_generating_set), this is
     Light's test: the count is 0 exactly when the table is associative.
     Multiset associativity is associativity of Q[X] (Buchstaber's n-valued
     group ring); the e_y of the y that pass lie in its middle nucleus, a
     subalgebra (Schafer, 1966), and those of e and the generating set
-    generate Q[X].  e is tested as well because the closure starts from it.
+    generate Q[X].  e is tested as well because the closure starts from it,
+    unless the strong identity makes e_e / 2 the unit, which passes.
 
     A multiset is compared by its sum of _power_sum_codes: pair[a, b] is
     the code sum of a*b, and each side of a triple is the sum of two
@@ -523,22 +527,22 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     single element x' with e contained in both x*x' and x'*x.  Commutativity
     and involutivity (e in x*x for every x) are reported as flags.
 
-    Every check reads the lo/hi arrays whole.  Associativity is counted by
-    one kernel, _associativity_violations, which compares (x*y)*z with
-    x*(y*z) for every x, z and every y of a given set of middle elements.
-    From _LIGHT_TEST_MIN_SIZE elements on, it runs first on the middles
-    {e} and a generating set: that is Light's test, exact at O(|G| n^2)
-    cost, and when it finds no violation the table is associative and the
-    count is 0.  When it finds some, or on a smaller table, the kernel runs
-    on all n middles, and the count and the witnesses come from that
-    sweep.  The sweep runs in blocks of the middle element y, so memory
-    stays bounded for large tables: each side of a triple is one uint64
-    sum of two pair codes gathered as whole rows, equal exactly when the
-    multisets are, and on a commutative table the right side is the left
-    side transposed.  Tables of more than 16,381 elements raise
-    MemoryError before any check.  Violations are collected, not raised;
-    each tag keeps its first MAX_WITNESSES_PER_TAG witnesses in the order
-    below.
+    Every check reads the lo/hi arrays whole; as _adopt keeps 0 <= lo <= hi,
+    e = 0 is in x*y exactly where lo[x, y] is.  On a commutative table the
+    identity's column is its row, and a single inverse candidate in every
+    row passes the inverse axiom.  Associativity is counted by one kernel,
+    _associativity_violations, which compares (x*y)*z with x*(y*z) for
+    every x, z and every y of a given set of middle elements.  From
+    _LIGHT_TEST_MIN_SIZE elements on, it runs first on the middles {e}
+    (kept only where the strong identity fails) and a generating set: that
+    is Light's test, exact at O(|G| n^2) cost, and when it finds no
+    violation the table is associative and the count is 0.  When it finds
+    some, or on a smaller table, the kernel runs on all n middles, and the
+    count and the witnesses come from that sweep, which runs in blocks of
+    the middle element y, so memory stays bounded for large tables.  Tables
+    of more than 16,381 elements raise MemoryError before any check.
+    Violations are collected, not raised; each tag keeps its first
+    MAX_WITNESSES_PER_TAG witnesses in the order below.
     """
     n = len(X)
     if n > _MAX_CODED_ELEMENTS:
@@ -548,34 +552,37 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     lo, hi = X.lo, X.hi
     every = np.arange(n)
     violations: list[tuple[str, tuple[int, ...]]] = []
-    counts = {tag: 0 for tag in AXIOM_TAGS}
-
-    # strong identity: for each x, e*x and then x*e must be [x, x]
-    unit = np.stack(
-        [(lo[e] != every) | (hi[e] != every), (lo[:, e] != every) | (hi[:, e] != every)],
-        axis=1,
-    )
-    unit[e, 1] = False  # e*e is one cell
-    counts["strong_identity"] = int(np.count_nonzero(unit))
-    violations += [
-        ("strong_identity", (x, e) if x_first else (e, x))
-        for x, x_first in np.argwhere(unit)[:MAX_WITNESSES_PER_TAG].tolist()
-    ]
+    counts = dict.fromkeys(AXIOM_TAGS, 0)
 
     # commutativity (flag only)
-    is_commutative = bool(np.array_equal(lo, lo.T) and np.array_equal(hi, hi.T))
+    is_commutative = bool((lo == lo.T).all() and (hi == hi.T).all())
+
+    # strong identity: for each x, e*x and then x*e must be [x, x]; e*e is
+    # one cell, and on a commutative table the column is the row
+    row = (lo[e] != every) | (hi[e] != every)
+    col = row if is_commutative else (lo[:, e] != every) | (hi[:, e] != every)
+    counts["strong_identity"] = int(np.count_nonzero(row) + np.count_nonzero(col[1:]))
+    if counts["strong_identity"]:
+        unit = np.stack([row, col], axis=1)
+        unit[e, 1] = False
+        violations += [
+            ("strong_identity", (x, e) if x_first else (e, x))
+            for x, x_first in np.argwhere(unit)[:MAX_WITNESSES_PER_TAG].tolist()
+        ]
 
     # involutivity (flag only): e in x*x for all x
-    diag_lo = lo.diagonal()
-    diag_hi = hi.diagonal()
-    is_involutive = bool(np.all((diag_lo == e) | (diag_hi == e)))
+    e_in_xy = lo == e  # [x, y] -> e in x*y
+    is_involutive = bool(e_in_xy.diagonal().all())
 
     # associativity: Light's test on the middles {e} and G, then the full
     # sweep where it finds violations or the table is too small for it to pay
     count = None
     if n >= _LIGHT_TEST_MIN_SIZE:
-        light = np.array([0, *_generating_set(lo, hi, is_commutative)])
-        count, witnesses = _associativity_violations(lo, hi, is_commutative, light)
+        middles = _generating_set(lo, hi, is_commutative)
+        if counts["strong_identity"]:  # else e passes: (x*e)*z = 2 (x*z) = x*(e*z)
+            middles.insert(0, e)
+        middles = np.array(middles, dtype=np.intp)
+        count, witnesses = _associativity_violations(lo, hi, is_commutative, middles)
     if count != 0:
         count, witnesses = _associativity_violations(lo, hi, is_commutative, slice(None))
     counts["associativity"] = count
@@ -583,21 +590,21 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
 
     # inverse axiom: C_x = {y : e in x*y or e in y*x} must be exactly one
     # element, with e in both x*y and y*x for that element.
-    e_in_xy = (lo == e) | (hi == e)  # [x, y] -> e in x*y
-    cand = e_in_xy | e_in_xy.T  # e in x*y or y*x
+    cand = e_in_xy if is_commutative else e_in_xy | e_in_xy.T
     size = np.count_nonzero(cand, axis=1)
-    y = cand.argmax(axis=1)  # the only y of C_x where size is 1
-    missing = (size == 0) | ((size == 1) & ~(e_in_xy[every, y] & e_in_xy[y, every]))
-    many = size > 1
-    counts["inverse_existence"] = int(np.count_nonzero(missing))
-    counts["inverse_uniqueness"] = int(np.count_nonzero(many))
-    keep = ((missing & (np.cumsum(missing) <= MAX_WITNESSES_PER_TAG))
-            | (many & (np.cumsum(many) <= MAX_WITNESSES_PER_TAG)))
-    for x in keep.nonzero()[0].tolist():
-        if many[x]:
-            violations.append(("inverse_uniqueness", (x, *cand[x].nonzero()[0].tolist())))
-        else:
-            violations.append(("inverse_existence", (x, int(y[x])) if size[x] else (x,)))
+    if not (is_commutative and (size == 1).all()):
+        y = cand.argmax(axis=1)  # the only y of C_x where size is 1
+        missing = (size == 0) | ((size == 1) & ~(e_in_xy[every, y] & e_in_xy[y, every]))
+        many = size > 1
+        counts["inverse_existence"] = int(np.count_nonzero(missing))
+        counts["inverse_uniqueness"] = int(np.count_nonzero(many))
+        keep = ((missing & (np.cumsum(missing) <= MAX_WITNESSES_PER_TAG))
+                | (many & (np.cumsum(many) <= MAX_WITNESSES_PER_TAG)))
+        for x in keep.nonzero()[0].tolist():
+            if many[x]:
+                violations.append(("inverse_uniqueness", (x, *cand[x].nonzero()[0].tolist())))
+            else:
+                violations.append(("inverse_existence", (x, int(y[x])) if size[x] else (x,)))
 
     return ValidationReport(
         size=n,

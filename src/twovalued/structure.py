@@ -141,10 +141,10 @@ def is_special(X: TwoValuedGroup) -> tuple[bool, list[tuple[int, int]]]:
     return (bool(witnesses), witnesses)
 
 
-def _special_pairs(X: TwoValuedGroup, big: np.ndarray) -> np.ndarray:
-    """mask[x, y] says that x, y is a special pair of X (see is_special),
-    for big[x] that says x has order > 2."""
-    return (X.lo == X.hi) & big[:, None] & big
+def _special_pairs(X: TwoValuedGroup, big: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """mask[i, y] says that x, y is a special pair of X (see is_special),
+    for the i-th row x of rows and big[x] that says x has order > 2."""
+    return (X.lo[rows] == X.hi[rows]) & big[rows, None] & big
 
 
 def squares_subgroup(X: TwoValuedGroup) -> frozenset[int]:

@@ -1,6 +1,7 @@
 """Construction layer: abelian groups, involutions, the three series."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -192,6 +193,21 @@ def test_double_of_boolean_group_is_involutive():
     X = double(FinAbelianGroup((2, 2)))
     rep = verify_axioms(X)
     assert rep.is_two_valued_group and rep.is_involutive
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: principal(5999), lambda: unipotent(6)], ids=["principal5999", "unipotent6"]
+)
+def test_construction_peaks_near_its_output(build):
+    # n = 3,000 and 2,080 in uint16: the tables are filled in row blocks, so
+    # the peak is the output, the validity check's n x n bool mask and a block
+    tracemalloc.start()
+    try:
+        X = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * (X.lo.nbytes + X.hi.nbytes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

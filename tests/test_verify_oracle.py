@@ -452,6 +452,24 @@ def test_light_test_rejects_a_half_nucleus_table(monkeypatch):
     assert light_agrees_with_sweep(X, monkeypatch)
 
 
+def test_light_test_keeps_e_where_the_identity_fails(monkeypatch):
+    # e*2 = [1, 2] breaks the identity row, and every product but e*e and
+    # e*2 is [1, 1]: both failing triples have y = e, and the generating
+    # set {1, 2} alone passes, so e must stay a middle
+    X = TwoValuedGroup.from_arrays(
+        ("e", "1", "2"), [[0, 1, 1], [1, 1, 1], [1, 1, 1]], [[0, 1, 2], [1, 1, 1], [2, 1, 1]]
+    )
+    swept, witnesses = core._associativity_violations(X.lo, X.hi, True, slice(None))
+    assert swept == 2 and {y for _, y, _ in witnesses} == {0}
+    assert core._generating_set(X.lo, X.hi, True) == [1, 2]
+    assert core._associativity_violations(X.lo, X.hi, True, np.array([1, 2]))[0] == 0
+    monkeypatch.setattr(core, "_LIGHT_TEST_MIN_SIZE", 1)
+    report = verify_axioms(X)
+    assert report.counts["strong_identity"] > 0
+    assert report.counts["associativity"] == swept
+    assert light_agrees_with_sweep(X, monkeypatch)
+
+
 def reference_generating_set(lo: np.ndarray, hi: np.ndarray) -> list[int]:
     """_generating_set as it was before it read only the new elements of
     each round: every round applies the closure rules to every pair of
