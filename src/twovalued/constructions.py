@@ -117,10 +117,8 @@ class FinAbelianGroup:
     def _neg_indices(self) -> np.ndarray:
         """The index of -g for every element index g, digit by digit."""
         g = np.arange(self.size)
-        out = np.zeros_like(g)
-        for d, place in zip(self.factors, self._places()):
-            out += -(g // place) % d * place
-        return out
+        return sum((-(g // place) % d * place for d, place in zip(self.factors, self._places())),
+                   np.zeros_like(g))
 
     def name_of(self, idx: int) -> str:
         return ",".join(map(str, self.element(idx))) if self.factors else "0"
