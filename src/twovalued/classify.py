@@ -38,7 +38,7 @@ from .constructions import (
     special_series,
     unipotent,
 )
-from .core import AmbiguousPower, TwoValuedGroup, _element, _generating_set, _orders, index_dtype
+from .core import TwoValuedGroup, _element, _generating_set, _squares, index_dtype
 from .cocycle import cohomology_invariant, extract_quasicocycle
 from .structure import _mismatches, _special_pairs, split_direct_factor
 
@@ -314,19 +314,19 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
     The conditions are tested on blocks of rows of the pair table, for the
     at most four candidates z in x*y, r in t*z of each product.
     """
-    orders = _orders(X)
-    special = np.argwhere(_special_pairs(X, orders > 2))
+    square = _squares(X)
+    special = np.argwhere(_special_pairs(X, square != 0))
     if len(special):
         raise ValueError(f"group has special pairs, e.g. {tuple(special[0].tolist())}")
     if t is None:
-        admissible = np.flatnonzero((orders == 3) | (orders > 4))
+        admissible = np.flatnonzero(square.take(square))
         if not len(admissible):
             raise ValueError("no element of order outside {1, 2, 4}")
         t = int(admissible[0])
     else:
         t = _element(X, t)
-        if orders[t] in (1, 2, 4):
-            raise ValueError(f"t = {t} has order {orders[t]}")
+        if not square[square[t]]:
+            raise ValueError(f"t = {t} has order in {{1, 2, 4}}")
 
     L, H = X.lo, X.hi
     t_lo, t_hi = L[t], H[t]
@@ -387,13 +387,11 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
     Steps, in order: special pairs (|X| = 2^m (2^n + 1)); counts by
     _counted_chain, when an order lies outside {1, 2, 4} (X' = A/+- makes
     X = (A x C2^m)/+-); otherwise the cocycle branch reads k and m off |X|,
-    and only rank >= 3 splits and reads the cohomology bit.  Below rank 3
-    classify reads the squares off the diagonal and builds no power walk.
+    and only rank >= 3 splits and reads the cohomology bit.  Every step
+    reads the squares off the diagonal (core._squares): no power walk.
     """
     n = len(X)
-    # x * x = [x^0, x^2] holds e, and e = 0 is the low element of a cell, so
-    # the high diagonal is every square; order > 2 is x^2 != e
-    square = X.hi.diagonal()
+    square = _squares(X)
     big = square != 0
     step = max(1, (1 << 17) // n)  # rows per block of the mask: one up to n = 362
     if any(_special_pairs(X, big, slice(a, a + step)).any() for a in range(0, n, step)):
@@ -470,11 +468,9 @@ def _initial_colors(X: TwoValuedGroup) -> np.ndarray:
         (lo == 0).sum(axis=1),
         ((lo == mine) | (hi == mine)).sum(axis=1),
     ]
-    try:
-        orders = _orders(X)
+    _, _, orders, faults = X._walk
+    if not faults:
         keys += [orders, _special_pairs(X, orders > 2).sum(axis=1)]
-    except AmbiguousPower:
-        pass
     return _rank_rows(np.column_stack(keys).astype(np.int64))
 
 

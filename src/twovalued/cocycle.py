@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TwoValuedGroup, _orders, _powers
+from .core import TwoValuedGroup, _squares
 from .structure import _f2_pivots, _sign_forms, boolean_subgroup, is_special, squares_subgroup
 
 __all__ = [
@@ -199,10 +199,10 @@ def extract_quasicocycle(X: TwoValuedGroup) -> ExtractionData:
     span(u, v).  Raises PreconditionViolated when the structural assumptions
     fail.
     """
-    orders = _orders(X)
-    odd = np.flatnonzero((orders == 3) | (orders > 4))
+    square = _squares(X)
+    odd = np.flatnonzero(square.take(square))
     if len(odd):
-        raise PreconditionViolated(f"element {X.names[odd[0]]} has order {orders[odd[0]]}")
+        raise PreconditionViolated(f"element {X.names[odd[0]]} has order outside {{1, 2, 4}}")
     special, pairs = is_special(X)
     if special:
         raise PreconditionViolated(f"special pairs present: {pairs[:3]}")
@@ -228,7 +228,7 @@ def extract_quasicocycle(X: TwoValuedGroup) -> ExtractionData:
     # the orbit X_v = {x : x^2 = v}, represented by its smallest element
     vec_of = np.full(len(X), -1)
     vec_of[members] = vec
-    found, reps = np.unique(vec_of[_powers(X, 2)], return_index=True)
+    found, reps = np.unique(vec_of[square], return_index=True)
     if found[0] < 0 or len(found) != 1 << dim:
         raise PreconditionViolated("the squares do not fill the 2^dim square classes")
 

@@ -196,7 +196,8 @@ class TwoValuedGroup:
         there is no return to e within 2n+2 steps.
 
         The walk steps one power at a time (_power_table), and the faults
-        are read off that same table."""
+        are read off that same table.  Only order, power and the witness
+        colours read it; the rest read x^2 off the diagonal (_squares)."""
         n = len(self)
         lo, hi = self.lo.ravel(), self.hi.ravel()
         every = np.arange(n)
@@ -623,19 +624,13 @@ def _element(X: TwoValuedGroup, x) -> int:
     return i
 
 
-def _orders(X: TwoValuedGroup) -> np.ndarray:
-    """Every element's order; AmbiguousPower for the first that branches."""
-    faults = X._walk[3]
-    if faults:
-        raise AmbiguousPower(faults[min(faults)])
-    return X._walk[2]
-
-
-def _powers(X: TwoValuedGroup, k: int) -> np.ndarray:
-    """x^k for every element x, as an index array."""
-    seq, reach, orders, _ = X._walk
-    j = abs(k) % _orders(X)
-    return seq[np.where(j <= reach, j, orders - j), np.arange(len(X))]
+def _squares(X: TwoValuedGroup) -> np.ndarray:
+    """x^2 for every element x, the high diagonal: x * x = [e, x^2], and
+    e = 0 is the low element of a cell that holds it.  AmbiguousPower for
+    the first x whose x * x does not hold e, with the walk's message."""
+    if (stray := X.lo.diagonal() != 0).any():
+        raise AmbiguousPower(f"x^(k-1) missing from x*x^k for x={stray.argmax()}, k=1")
+    return X.hi.diagonal()
 
 
 def power(X: TwoValuedGroup, x: int, k: int) -> int:
@@ -643,13 +638,14 @@ def power(X: TwoValuedGroup, x: int, k: int) -> int:
 
     Powers satisfy x^(-k) = x^k and are periodic with period ord(x), so any
     integer exponent is accepted.  AmbiguousPower when the sequence of x
-    branches; ValueError when x is not an element index.
+    branches; ValueError when x is no element index, TypeError for a non-integer.
 
     >>> from twovalued.constructions import principal
     >>> X = principal(5)  # the classes of 0, 1, 2 in C5
     >>> [power(X, 1, k) for k in range(6)]
     [0, 1, 2, 2, 1, 0]
     """
+    k = index(k)
     m = order(X, x)
     seq, reach = X._walk[:2]
     j = abs(k) % m

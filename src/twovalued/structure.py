@@ -2,7 +2,9 @@
 
 Tools here assume their input passed verify_axioms with the commutative and
 involutive flags set; they raise on inputs that visibly break that contract
-but do not re-run the full sweep.
+but do not re-run the full sweep.  Orders are read off x^2, the diagonal
+x * x = [e, x^2] (core._squares), which raises AmbiguousPower only where e is
+not in x * x: order <= 2 is x^2 = e, order 4 is x^2 != e = (x^2)^2.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TwoValuedGroup, _element, _orders, _powers, index_dtype, order, product
+from .core import TwoValuedGroup, _element, _squares, index_dtype, product
 
 __all__ = [
     "UNDEFINED",
@@ -119,7 +121,7 @@ def boolean_subgroup(X: TwoValuedGroup) -> BooleanSubgroup:
     abelian 2-group under the dot product.  Raises ClosureViolation if the
     dot lands outside the set (impossible for a valid involutive commutative
     group)."""
-    members = np.flatnonzero(_orders(X) <= 2)
+    members = np.flatnonzero(_squares(X) == 0)
     k = len(members)
     if k & (k - 1):
         raise ClosureViolation(f"|V| = {k} is not a power of two")
@@ -137,7 +139,8 @@ def is_special(X: TwoValuedGroup) -> tuple[bool, list[tuple[int, int]]]:
     >>> is_special(special_series(2))  # 01*10 = [11, 11], and so on
     (True, [(1, 2), (1, 3), (2, 3)])
     """
-    witnesses = list(map(tuple, np.argwhere(np.triu(_special_pairs(X, _orders(X) > 2))).tolist()))
+    big = _squares(X) != 0
+    witnesses = list(map(tuple, np.argwhere(np.triu(_special_pairs(X, big))).tolist()))
     return (bool(witnesses), witnesses)
 
 
@@ -149,7 +152,7 @@ def _special_pairs(X: TwoValuedGroup, big: np.ndarray, rows: slice = slice(None)
 
 def squares_subgroup(X: TwoValuedGroup) -> frozenset[int]:
     """Q = {x^2 : x in X}.  Verified closed; ClosureViolation otherwise."""
-    Q = frozenset(_powers(X, 2).tolist())
+    Q = frozenset(_squares(X).tolist())
     if leak := _escape(X, Q):
         raise ClosureViolation(
             f"squares not closed: {leak[0]}*{leak[1]} = {product(X, *leak)} leaves the set"
@@ -347,9 +350,9 @@ def split_direct_factor(X: TwoValuedGroup) -> tuple[TwoValuedGroup, int, list[st
     cur = X
     witnesses: list[str] = []
     while True:
-        # the order-2 elements that are not squares
-        lone = _orders(cur) == 2
-        lone[_powers(cur, 2)] = False
+        # the order-2 elements that are not squares; e = e^2 drops out
+        lone = (square := _squares(cur)) == 0
+        lone[square] = False
         if not lone.any():
             return cur, len(witnesses), witnesses
         w = int(np.argmax(lone))
@@ -377,15 +380,16 @@ def branching_set(Xhat: TwoValuedGroup, u: int) -> BranchingData:
     branching set R: order-2 classes with a single preimage, that preimage
     having order 4 (equivalently, squaring to u).  The complement of R inside
     the Boolean part of the quotient is checked to be closed."""
-    if u == Xhat.identity or order(Xhat, u) != 2:
+    square = _squares(Xhat)
+    if u == Xhat.identity or square[_element(Xhat, u)]:
         raise NotOrderTwo(f"element {u} does not have order 2")
     Q, proj = quotient(Xhat, frozenset({Xhat.identity, u}))
     cls = np.array(proj)
-    q_orders = _orders(Q)
-    # x is the single preimage of its class, has order 4 and lands on order 2
+    q_square = _squares(Q)
+    # x is the single preimage of its class (not e's), has order 4 and lands on order 2
     single = np.bincount(cls, minlength=len(Q))[cls] == 1
-    branch = cls[single & (_orders(Xhat) == 4) & (q_orders[cls] == 2)]
-    keep = np.setdiff1d(np.flatnonzero(q_orders <= 2), branch)
+    branch = cls[single & (square != 0) & (square.take(square) == 0) & (q_square.take(cls) == 0)]
+    keep = np.setdiff1d(np.flatnonzero(q_square == 0), branch)
     if _escape(Q, keep, doubled=True):
         raise ValueError(
             "complement of the branching set is not closed; "

@@ -1,5 +1,6 @@
 """Core pair/table machinery: products, axiom checks, powers and orders."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -291,3 +292,12 @@ def test_identity_power_and_order():
     X = principal(5)
     assert order(X, 0) == 1
     assert power(X, 0, 12345) == 0
+
+
+def test_power_takes_integer_exponents_only():
+    # k goes through operator.index, as the element x does
+    X = principal(5)
+    for x, k in ((1, 2.0), (2.0, 1), (1, "2")):
+        with pytest.raises(TypeError):
+            power(X, x, k)
+    assert power(X, 1, np.int64(2)) == 2

@@ -7,7 +7,9 @@ double loop of is_special, the mul-closure reconstruction of A from
 X = A/+-, the per-cell loop of is_homomorphism and the per-row colour
 refinement of the witness search, together with the loop
 versions of the Boolean part, the squares, the C2 split with its
-per-cell sign system and the cocycle extraction built on them.  Every
+per-cell sign system and the cocycle extraction built on them.  The split
+reference reads x^2 off the Pair cell x*x = [e, x^2], as the valid-group
+routines do, and the sweep holds that cell to the walk.  Every
 acceptance-sweep label is checked with one seeded relabelling.  The mul
 closure checks every product of a reconstructed table of at most
 CHECKED_PRODUCTS cells and that many seeded products of a larger one; the
@@ -146,13 +148,25 @@ def reference_in_span(v: int, rows) -> bool:
     return not r
 
 
+def reference_squares(X: TwoValuedGroup) -> list[int]:
+    """x^2 for every x, off its Pair cell x*x = [e, x^2]; AmbiguousPower
+    for the first x whose x*x does not hold e."""
+    e = X.identity
+    squares = []
+    for x, row in enumerate(X.table):
+        if e not in row[x]:
+            raise AmbiguousPower(f"x^(k-1) missing from x*x^k for x={x}, k=1")
+        squares.append(row[x].other(e))
+    return squares
+
+
 def reference_split(X: TwoValuedGroup):
     cur, m, witnesses = X, 0, []
     while True:
-        walk = reference_walk(cur)
-        orders = orders_of(walk)
-        squares = {square_of(seq) for seq in walk}
-        lone = [x for x in range(len(cur)) if orders[x] == 2 and x not in squares]
+        squares = reference_squares(cur)
+        # order 2 is x^2 = e with x != e
+        order_two = {x for x in range(1, len(cur)) if squares[x] == cur.identity}
+        lone = sorted(order_two - set(squares))
         if not lone:
             return cur, m, witnesses
         # no f with f(w) = 1 when bit w is a sum of the equations
@@ -348,6 +362,9 @@ def outcome(fn, *args):
 
 
 def check_walk(X: TwoValuedGroup, walk):
+    # the diagonal contract of the valid-group routines: x*x = [e, x^2]
+    t = X.table
+    assert all(t[x][x] == Pair(X.identity, square_of(seq)) for x, seq in enumerate(walk))
     orders = orders_of(walk)
     assert [order(X, x) for x in range(len(X))] == orders
     for x, seq in enumerate(walk):
@@ -552,7 +569,8 @@ def split_outcome(fn, X: TwoValuedGroup):
 def test_split_matches_reference_on_broken_tables(chunk):
     # every sweep label of 3 to 80 elements, plain and relabelled, and each
     # of those with 1-3 cells corrupted, symmetric and one-sided: 1,866
-    # tables over all chunks, 245 of which raise InconsistentSystem
+    # tables over all chunks, of which 1,201 split, 536 raise
+    # InconsistentSystem and 129, with e missing from some x*x, AmbiguousPower
     labels = [lab for lab in sweep_labels() if 3 <= len(build(*lab)) <= 80]
     for i, label in enumerate(labels[chunk::8]):
         rng = random.Random(f"split:{chunk}:{i}")
@@ -609,12 +627,35 @@ def test_witness_search_spends_the_nodes_of_the_full_scan(label, seed, nodes):
                                    ("principal", (4, 4), 1), ("unipotent", 2, 2)],
                          ids=["principal", "special", "rank2", "unipotent2"])
 def test_classify_builds_no_walk(label):
-    # below rank 3 classify reads the squares off the diagonal and counts
-    # by its ladder, so no power walk is built
+    # classify and the structure, cocycle and reconstruction routines read
+    # x^2 off the diagonal, so no power walk is built
     X = build(*label)
     for T in (X, relabel(X, seed=len(X))[0]):
         classify(T)
+        is_special(T)
+        u = boolean_subgroup(T).members[1]
+        squares_subgroup(T)
+        outcome(extract_quasicocycle, split_direct_factor(T)[0])
+        branching_set(T, u)
+        outcome(reconstruct_abelian, T)
         assert "_walk" not in vars(T)
+
+
+def test_valid_group_routines_raise_where_e_is_not_in_x_x():
+    # 3 * 3 = [1, 1] holds no e: every reader of the diagonal refuses the
+    # table with the message the walk gives 3 at k = 1
+    X = product_with_boolean(principal(2, 6), 1)
+    lo, hi = X.lo.copy(), X.hi.copy()
+    lo[3, 3] = hi[3, 3] = 1
+    T = TwoValuedGroup.from_arrays(X.names, lo, hi)
+    with pytest.raises(AmbiguousPower) as walk:
+        order(T, 3)
+    u = next(x for x in range(1, len(X)) if order(X, x) == 2)
+    for fn in (classify, is_special, boolean_subgroup, squares_subgroup, split_direct_factor,
+               extract_quasicocycle, lambda T: branching_set(T, u), reconstruct_abelian):
+        with pytest.raises(AmbiguousPower) as got:
+            fn(T)
+        assert str(got.value) == str(walk.value)
 
 
 def test_array_paths_never_build_the_pair_view():
