@@ -40,7 +40,7 @@ from .constructions import (
 )
 from .core import TwoValuedGroup, _element, _generating_set, _squares, index_dtype
 from .cocycle import cohomology_invariant, extract_quasicocycle
-from .structure import _mismatches, _special_pairs, split_direct_factor
+from .structure import _mismatches, _special_rows, split_direct_factor
 
 __all__ = [
     "ClassLabel",
@@ -315,9 +315,10 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
     at most four candidates z in x*y, r in t*z of each product.
     """
     square = _squares(X)
-    special = np.argwhere(_special_pairs(X, square != 0))
-    if len(special):
-        raise ValueError(f"group has special pairs, e.g. {tuple(special[0].tolist())}")
+    for a, mask in _special_rows(X, square != 0):
+        if mask.any():
+            i, y = np.argwhere(mask)[0].tolist()
+            raise ValueError(f"group has special pairs, e.g. {(a + i, y)}")
     if t is None:
         admissible = np.flatnonzero(square.take(square))
         if not len(admissible):
@@ -393,8 +394,7 @@ def classify(X: TwoValuedGroup) -> ClassLabel:
     n = len(X)
     square = _squares(X)
     big = square != 0
-    step = max(1, (1 << 17) // n)  # rows per block of the mask: one up to n = 362
-    if any(_special_pairs(X, big, slice(a, a + step)).any() for a in range(0, n, step)):
+    if any(mask.any() for _, mask in _special_rows(X, big)):
         m = (n & -n).bit_length() - 1
         sz = n >> m
         k = (sz - 1).bit_length() - 1
@@ -470,7 +470,7 @@ def _initial_colors(X: TwoValuedGroup) -> np.ndarray:
     ]
     _, _, orders, faults = X._walk
     if not faults:
-        keys += [orders, _special_pairs(X, orders > 2).sum(axis=1)]
+        keys += [orders, np.concatenate([m.sum(1) for _, m in _special_rows(X, orders > 2)])]
     return _rank_rows(np.column_stack(keys).astype(np.int64))
 
 

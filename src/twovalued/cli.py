@@ -23,6 +23,7 @@ re-exports them here for existing importers.
 from __future__ import annotations
 
 import argparse
+import cmath
 import gc
 import json
 import math
@@ -276,10 +277,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _parse_params(text: str) -> list[complex]:
-    parts = text.split(",")
+    parts = [s.strip() for s in text.split(",")]
     if len(parts) != 3:
         raise ValueError("expected three comma-separated values")
-    return [complex(s.strip().replace("i", "j")) for s in parts]
+    # a trailing i is the imaginary unit; the i of inf and nan is not
+    params = [complex(s[:-1] + "j" if s.endswith("i") else s) for s in parts]
+    if bad := [s for s, z in zip(parts, params) if not cmath.isfinite(z)]:
+        raise ValueError(f"{bad[0]} is not a finite number")
+    return params
 
 
 def _cmd_elliptic(args) -> int:

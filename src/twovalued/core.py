@@ -128,9 +128,21 @@ class TwoValuedGroup:
         table = tuple(map(tuple, table))
         if not all(map(isinstance, chain.from_iterable(table), repeat(Pair))):
             raise ValueError("table cells must be Pairs")
-        # flat: numpy reads a grid of Pairs, tuple subclasses, about 7x slower
-        cells = np.array([*chain.from_iterable(chain.from_iterable(table))]).reshape(n, n, 2)
-        X = self._adopt(names, cells[..., 0], cells[..., 1])
+        lo, hi = np.empty((n, n), index_dtype(n)), np.empty((n, n), index_dtype(n))
+        unsorted, outside = None, False
+        for i, row in enumerate(table):
+            # one row at a time, and flat: numpy reads a row of Pairs, tuple
+            # subclasses, about 7x slower; True is index 1, in a row of bools too
+            cells = np.array([*chain.from_iterable(row)])
+            cells = cells.view(np.uint8) if cells.dtype == bool else cells
+            _require_indices(cells)
+            a, b = cells.reshape(n, 2).T
+            unsorted = unsorted or _unsorted_error(a, b, i)
+            outside = outside or a.min() < 0 or b.max() >= n
+            lo[i], hi[i] = a, b  # a cell out of range wraps, and raises below
+        if unsorted or outside:
+            raise unsorted or ValueError(f"table cell out of range 0..{n - 1}")
+        X = self._adopt(names, lo, hi)
         vars(self).update(vars(X), table=table)
 
     @classmethod
@@ -157,11 +169,8 @@ class TwoValuedGroup:
         if lo.shape != (n, n) or hi.shape != (n, n):
             raise _shape_error(n)
         _require_indices(lo, hi)
-        if (unsorted := lo > hi).any():
-            i, j = np.argwhere(unsorted)[0]
-            raise ValueError(
-                f"table cell ({i}, {j}) = [{lo[i, j]}, {hi[i, j]}] is not sorted"
-            )
+        if unsorted := _unsorted_error(lo, hi):
+            raise unsorted
         if lo.min() < 0 or hi.max() >= n:
             raise ValueError(f"table cell out of range 0..{n - 1}")
         lo, hi = (a.astype(index_dtype(n), copy=False) for a in (lo, hi))
@@ -195,37 +204,47 @@ class TwoValuedGroup:
         reason: x*x^k and x^k*x differ, x^(k-1) is missing from x*x^k, or
         there is no return to e within 2n+2 steps.
 
-        The walk steps one power at a time (_power_table), and the faults
-        are read off that same table.  Only order, power and the witness
+        One pass over the open walks: each step reads x * x^k, and x^k * x
+        unless the table is symmetric, records the fault or the stop of each
+        walk it ends, and drops those.  Only order, power and the witness
         colours read it; the rest read x^2 off the diagonal (_squares)."""
         n = len(self)
         lo, hi = self.lo.ravel(), self.hi.ravel()
-        every = np.arange(n)
-        rows = every * n
-        seq, last, stopped = _power_table(lo, hi, rows)
-        # row k - 1 of these is step k, from x^(k-1) and x^k to x^(k+1)
-        prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
-        at = rows + cur
-        l, h = lo[at], hi[at]
-        # the cells x^k * x, gathered: no n x n transpose
-        at = rows.take(cur)
-        at += every
-        asym = (lo[at] != l) | (hi[at] != h)
-        k, end = last + 1, nxt[last, every]
-        orders = np.where(end == 0, k + 1, 2 * k + (end != prev[last, every]))
-        orders[0] = 1
+        symmetric = np.array_equal(self.lo, self.lo.T) and np.array_equal(self.hi, self.hi.T)
+        seq = [np.zeros(n, lo.dtype), np.arange(n, dtype=lo.dtype)]
+        reach, orders = np.ones(n, np.intp), np.ones(n, np.intp)
         faults: dict[int, str] = {}
-        branch = (asym | ((l != prev) & (h != prev))) & (np.arange(len(l))[:, None] <= last)
-        branch[:, 0] = False
-        first = branch.argmax(axis=0)
-        for x in branch.any(axis=0).nonzero()[0].tolist():
-            why = ("x*x^k and x^k*x differ" if asym[first[x], x]
-                   else "x^(k-1) missing from x*x^k")
-            faults[x] = f"{why} for x={x}, k={first[x] + 1}"
-        stopped &= orders <= 2 * n + 2
-        for x in (~stopped).nonzero()[0].tolist():
-            faults.setdefault(x, f"power sequence of x={x} never returns to e")
-        return seq, k + 1, orders, faults
+        # the open walks: x, x * n, x^(k-1) and x^k; e's stops at once
+        x = np.arange(1, n)
+        rows, prev, cur = x * n, seq[0][1:], seq[1][1:]
+        for k in range(1, 2 * n + 2):
+            if not len(x):
+                break
+            at = rows + cur
+            l, h = lo.take(at), hi.take(at)
+            back = l == prev
+            nxt = np.where(back, h, l)  # the element of x * x^k other than x^(k-1)
+            seq.append(np.zeros(n, lo.dtype))
+            seq[-1][x] = nxt
+            # back == (h == prev): x^(k-1) is missing from x * x^k, or x^(k+1) = x^(k-1)
+            ends = (back == (h == prev)) | (nxt == 0) | (nxt == cur)
+            differ = np.zeros_like(ends)
+            if not symmetric:
+                at = cur.astype(np.intp) * n + x
+                ends |= (differ := (lo.take(at) != l) | (hi.take(at) != h))
+            if not np.count_nonzero(ends):
+                prev, cur = cur, nxt
+                continue
+            for i in (differ | ((l != prev) & (h != prev))).nonzero()[0].tolist():
+                why = "x*x^k and x^k*x differ" if differ[i] else "x^(k-1) missing from x*x^k"
+                faults[int(x[i])] = f"{why} for x={x[i]}, k={k}"
+            stops, last = x[ends], nxt[ends]
+            orders[stops] = np.where(last == 0, k + 1, 2 * k + (last != prev[ends]))
+            reach[stops] = k + 1
+            x, rows, prev, cur = (a[~ends] for a in (x, rows, cur, nxt))
+        for y in chain(x.tolist(), (orders > 2 * n + 2).nonzero()[0].tolist()):
+            faults.setdefault(y, f"power sequence of x={y} never returns to e")
+        return np.array(seq), reach, orders, faults
 
     def __eq__(self, other):
         if not isinstance(other, TwoValuedGroup):
@@ -288,46 +307,18 @@ def product_fold(X: TwoValuedGroup, m: Iterable[int], b: int) -> tuple[int, ...]
     return tuple(sorted(X.lo[m, b].tolist() + X.hi[m, b].tolist()))
 
 
-def _power_table(lo: np.ndarray, hi: np.ndarray,
-                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(seq, last, stopped) for the raveled table lo/hi, rows = x * n:
-    seq[k, x] = x^k up to a k where every walk has stopped, or up to
-    k = 2n+2.  Step last[x] + 1 is the first at which x^(k+1) is e, x^(k-1)
-    or x^k, where stopped[x], and the last step of seq elsewhere; the walk
-    of e stops at once.
-
-    Each round doubles the powers known by stepping: x^(k+1) is the element
-    of x * x^k other than x^(k-1), or its low element where x^(k-1) is
-    missing.  A look for the stops costs about as much as a round and a
-    walk turns by k = n in a group, so the looks start past k = min(n, 8),
-    after the turn of most walks of small order, and the rounds end at
-    k = n + 2 before they go on to the cap."""
-    n = len(rows)
-    cap = 2 * n + 3
-    seq = [np.zeros(n, lo.dtype), np.arange(n, dtype=lo.dtype)]
-    while True:
-        end = n + 3 if len(seq) < n + 3 else cap
-        for _ in range(min(len(seq) - 1, end - len(seq))):
-            at = rows + seq[-1]
-            l = lo[at]
-            seq.append(np.where(l == seq[-2], hi[at], l))
-        if len(seq) > min(n, 8):
-            table = np.array(seq)
-            prev, cur, nxt = table[:-2], table[1:-1], table[2:]
-            stop = (nxt == 0) | (nxt == prev) | (nxt == cur)
-            stop[:, 0] = True
-            last = stop.argmax(axis=0)
-            stopped = stop[last, np.arange(n)]
-            if len(seq) == cap or stopped.all():
-                last[~stopped] = len(stop) - 1
-                # a round overshoots: keep the rows up to the last stop
-                return table[: last.max() + 3], last, stopped
-
-
 def _shape_error(n: int) -> ValueError:
     """The error of every table constructor for cells that do not make an
     n x n table."""
     return ValueError(f"multiplication table must be {n} x {n}")
+
+
+def _unsorted_error(lo: np.ndarray, hi: np.ndarray, row: int = 0) -> ValueError | None:
+    """The error for the first unsorted cell of lo/hi, a table or its row `row`; or None."""
+    if lo.flat[k := int((lo > hi).argmax())] <= hi.flat[k]:
+        return None
+    i, j = divmod(k, lo.shape[-1])
+    return ValueError(f"table cell ({row + i}, {j}) = [{lo.flat[k]}, {hi.flat[k]}] is not sorted")
 
 
 def _require_indices(*cells: np.ndarray) -> None:

@@ -140,14 +140,17 @@ def is_special(X: TwoValuedGroup) -> tuple[bool, list[tuple[int, int]]]:
     (True, [(1, 2), (1, 3), (2, 3)])
     """
     big = _squares(X) != 0
-    witnesses = list(map(tuple, np.argwhere(np.triu(_special_pairs(X, big))).tolist()))
+    witnesses = [(a + i, y) for a, mask in _special_rows(X, big)
+                 for i, y in np.argwhere(np.triu(mask, a)).tolist()]
     return (bool(witnesses), witnesses)
 
 
-def _special_pairs(X: TwoValuedGroup, big: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """mask[i, y] says that x, y is a special pair of X (see is_special),
-    for the i-th row x of rows and big[x] that says x has order > 2."""
-    return (X.lo[rows] == X.hi[rows]) & big[rows, None] & big
+def _special_rows(X: TwoValuedGroup, big: np.ndarray):
+    """(a, mask) for blocks of about 2^17 cells in row order: mask[i, y] says
+    that a + i, y is a special pair of X, for big[x] that says x has order > 2."""
+    step = max(1, (1 << 17) // len(X))
+    for a in range(0, len(X), step):
+        yield a, (X.lo[a:a + step] == X.hi[a:a + step]) & big[a:a + step, None] & big
 
 
 def squares_subgroup(X: TwoValuedGroup) -> frozenset[int]:

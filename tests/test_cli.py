@@ -435,6 +435,15 @@ class TestElliptic:
         code, _, err = run(capsys, "elliptic", "--params", "1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("params", ["nan,0,0", "1e999,0,0", "0,0,nanj", "inf,0,0",
+                                        "0,-infi,0"])
+    def test_non_finite_params_are_usage_error(self, params, capsys):
+        # refused as input, before any sample gives a verdict
+        code, out, err = run(capsys, "elliptic", "--params", params, "--samples", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad --params: ") and "not a finite number" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.5", "x"])
     def test_bad_tolerance_is_usage_error(self, tol, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -21,6 +21,7 @@ off the orders.
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -531,6 +532,20 @@ def test_walk_matches_reference_on_random_involutive_tables():
     rng = random.Random("rerun")
     for _ in range(60):
         assert_walk_matches_reference(random_involutive_table(rng.randrange(2, 6), rng))
+
+
+def test_walk_memory_is_its_power_table():
+    # n = 1,020, and every walk takes 1,019 steps: the walk holds the rows of
+    # seq and their stacked copy, plus O(n) per step; no K x n index array
+    X = principal(2039)
+    tracemalloc.start()
+    try:
+        seq = X._walk[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.shape == (1021, 1020)
+    assert peak < 3 * seq.nbytes, f"traced peak {peak / seq.nbytes:.1f}x the power table"
 
 
 def reference_principal_chain(orders) -> tuple[int, ...]:
