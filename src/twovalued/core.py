@@ -228,13 +228,13 @@ class TwoValuedGroup:
             seq[-1][x] = nxt
             # back == (h == prev): x^(k-1) is missing from x * x^k, or x^(k+1) = x^(k-1)
             ends = (back == (h == prev)) | (nxt == 0) | (nxt == cur)
-            differ = np.zeros_like(ends)
             if not symmetric:
                 at = cur.astype(np.intp) * n + x
                 ends |= (differ := (lo.take(at) != l) | (hi.take(at) != h))
             if not np.count_nonzero(ends):
                 prev, cur = cur, nxt
                 continue
+            differ = np.zeros_like(ends) if symmetric else differ
             for i in (differ | ((l != prev) & (h != prev))).nonzero()[0].tolist():
                 why = "x*x^k and x^k*x differ" if differ[i] else "x^(k-1) missing from x*x^k"
                 faults[int(x[i])] = f"{why} for x={x[i]}, k={k}"
