@@ -159,7 +159,7 @@ class TwoValuedGroup:
     @classmethod
     def _adopt(cls, names: Sequence[str], lo: np.ndarray, hi: np.ndarray) -> "TwoValuedGroup":
         """The group of the cells lo and hi, validated and kept uncopied; the
-        families pass fresh arrays straight here, past from_arrays' copy."""
+        callers that build fresh arrays pass them here, past from_arrays' copy."""
         names = tuple(names)
         n = len(names)
         if n == 0:
@@ -276,7 +276,7 @@ class TwoValuedGroup:
         if cells.size != 2 * n * n:
             raise _shape_error(n)
         a, b = np.moveaxis(cells.reshape(n, n, 2), 2, 0)
-        return cls.from_arrays(names, np.minimum(a, b), np.maximum(a, b))
+        return cls._adopt(names, np.minimum(a, b), np.maximum(a, b))
 
     def __len__(self) -> int:
         return len(self.names)

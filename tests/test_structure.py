@@ -1,5 +1,7 @@
 """Structural analysis: Boolean subgroup action, quotients, splitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,29 @@ def test_identity_map_is_homomorphism():
     rep = is_homomorphism(X, X, list(range(4)))
     assert rep.is_homomorphism
     assert rep.kernel == frozenset({0})
+
+
+@pytest.mark.parametrize(
+    "run, bound",
+    [
+        (lambda X, u: is_homomorphism(X, X, list(range(len(X)))), 4),
+        (lambda X, u: quotient(X, {X.identity, u}), 1),
+    ],
+    ids=["is_homomorphism", "quotient"],
+)
+def test_homomorphism_theorem_memory(run, bound):
+    # n = 512: the theorem is read off the kernel's classes, with no quotient
+    # group; a quotient gathers its table in the quotient's index dtype
+    X = product_with_boolean(principal(255), 2)
+    u = boolean_subgroup(X).members[1]
+    tracemalloc.start()
+    try:
+        run(X, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = X.lo.nbytes + X.hi.nbytes
+    assert peak < bound * tables, f"traced peak {peak / tables:.2f}x the tables"
 
 
 class TestSplitDirectFactor:

@@ -430,6 +430,19 @@ def test_sweep_matches_pair_references():
         check_homomorphisms(X, Y, perm, random.Random(i))
 
 
+def test_homomorphism_theorem_fails_on_a_broken_identity():
+    # e*2 = 2*e = [2, 3] puts 2 and 3 in one class of the kernel {e}, on
+    # which the identity map is not constant
+    X = principal(7)
+    lo, hi = X.lo.copy(), X.hi.copy()
+    lo[0, 2] = lo[2, 0] = 2
+    hi[0, 2] = hi[2, 0] = 3
+    Y = TwoValuedGroup.from_arrays(X.names, lo, hi)
+    identity = list(range(len(Y)))
+    assert is_homomorphism(Y, Y, identity).quotient_matches_image is False
+    check_homomorphisms(Y, Y, identity, random.Random("broken identity"))
+
+
 def test_cocycle_branch_rank_and_c2_count_are_read_off_the_size():
     # a group with no special pair and every order in {1, 2, 4} is
     # Principal(4^k, 2^m) or Unipotent(k, m), of size 2^(m+k-1) (2^k + 1),
