@@ -191,6 +191,27 @@ def _check_subgroup(X: TwoValuedGroup, members: frozenset[int]):
         raise NotSubgroup(f"{leak[0]}*{leak[1]} = {product(X, *leak)} leaves the subset")
 
 
+def quotient(
+    X: TwoValuedGroup, Y
+) -> tuple[TwoValuedGroup, list[int]]:
+    """Quotient by a subgroup Y: classes of the relation "x' appears in x*y
+    for some y in Y" (an equivalence for valid input).  Returns the quotient
+    group and the projection list.
+
+    Classes are labeled by their smallest member, in ascending order of that
+    member, so the identity class is index 0.  A class is named after its
+    smallest member.
+    """
+    members = frozenset(Y)
+    _check_subgroup(X, members)
+    reps, cls = _classes(X, members)
+    names = tuple(X.names[r] for r in reps)
+    proj = np.array(cls, index_dtype(len(reps)))
+    block = np.ix_(reps, reps)
+    z1, z2 = proj[X.lo[block]], proj[X.hi[block]]
+    return TwoValuedGroup._adopt(names, np.minimum(z1, z2), np.maximum(z1, z2)), cls
+
+
 def _classes(X: TwoValuedGroup, members) -> tuple[list[int], list[int]]:
     """(reps, cls) for the classes of quotient(X, members): reps[k] is the
     smallest member of class k, ascending, and cls[x] the class of x."""
@@ -212,27 +233,6 @@ def _classes(X: TwoValuedGroup, members) -> tuple[list[int], list[int]]:
                     cls[b] = k
                     stack.append(b)
     return reps, cls
-
-
-def quotient(
-    X: TwoValuedGroup, Y
-) -> tuple[TwoValuedGroup, list[int]]:
-    """Quotient by a subgroup Y: classes of the relation "x' appears in x*y
-    for some y in Y" (an equivalence for valid input).  Returns the quotient
-    group and the projection list.
-
-    Classes are labeled by their smallest member, in ascending order of that
-    member, so the identity class is index 0.  A class is named after its
-    smallest member.
-    """
-    members = frozenset(Y)
-    _check_subgroup(X, members)
-    reps, cls = _classes(X, members)
-    names = tuple(X.names[r] for r in reps)
-    proj = np.array(cls, index_dtype(len(reps)))
-    block = np.ix_(reps, reps)
-    z1, z2 = proj[X.lo[block]], proj[X.hi[block]]
-    return TwoValuedGroup._adopt(names, np.minimum(z1, z2), np.maximum(z1, z2)), cls
 
 
 @dataclass
@@ -261,10 +261,10 @@ def is_homomorphism(X: TwoValuedGroup, Z: TwoValuedGroup, f) -> HomomorphismRepo
     """Check that f (a list of Z-indices, one per X-element) satisfies
     f(x*y) = f(x)*f(y) as multisets, and if so verify the homomorphism
     theorem: the kernel and image are subgroups and X/ker is isomorphic to
-    the image via the map induced by f.  No quotient is built: the map is
-    defined when f is constant on each kernel class, a bijection when there
-    are |image| classes, and then it carries cell (i, j) of X/ker to
-    f(r_i * r_j) = f(r_i) * f(r_j), r_k the least member of class k."""
+    the image via the map induced by f.  Read off the kernel's classes, that
+    map is defined when f is constant on each, bijective when there are
+    |image|, and sends cell (i, j) of X/ker to f(r_i * r_j) = f(r_i) * f(r_j)
+    for the least members r_i, r_j: no quotient needs building or comparing."""
     fa = np.array(list(f))
     valid = fa.shape == (len(X),) and fa.dtype.kind in "iu"
     if not (valid and ((fa >= 0) & (fa < len(Z))).all()):
