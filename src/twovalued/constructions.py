@@ -200,7 +200,7 @@ def _orbit_space(A: FinAbelianGroup, p: np.ndarray, lo: np.ndarray,
     """coset_group for the involutive automorphism with index map p, which
     the caller vouches for: the families build their own maps and skip the
     InvolutiveAutomorphism checks.  lo and hi come from _reserve_table, and
-    are filled in blocks of rows of about 128K cells, then kept.
+    are filled in blocks of rows of about 64K cells, then kept.
 
     Each factor's digits are read once, for the names and for a spread
     index: the digits in the radix 2d - 1 per factor d, in which an index
@@ -210,15 +210,15 @@ def _orbit_space(A: FinAbelianGroup, p: np.ndarray, lo: np.ndarray,
     every = np.arange(A.size)
     rep = np.minimum(every, p)
     reps = np.flatnonzero(rep == every)
-    spread, cell, digits = np.zeros_like(every), np.zeros(1, np.intp), []
+    spread, cell, digits = np.zeros_like(every), np.zeros(1, index_dtype(A.size)), []
     for d, place in zip(A.factors[::-1], A._places()[::-1]):
         digit = every // place % d
         spread += digit * len(cell)
-        cell = (np.arange(2 * d - 1)[:, None] % d * place + cell).ravel()
+        cell = ((np.arange(2 * d - 1) % d * place).astype(cell.dtype)[:, None] + cell).ravel()
         digits.insert(0, digit[reps].astype(str).tolist())
-    cell = np.searchsorted(reps, rep).astype(lo.dtype).take(cell)
+    cell = np.searchsorted(reps, rep).astype(lo.dtype)[cell]
     g, h = spread[reps], spread[p[reps]]
-    step = max(1, (1 << 17) // len(reps))
+    step = max(1, (1 << 16) // len(reps))
     for a0 in range(0, len(reps), step):
         rows = slice(a0, a0 + step)
         z1, z2 = cell.take(g[rows, None] + g), cell.take(g[rows, None] + h)
@@ -279,8 +279,10 @@ def special_series(n: int) -> TwoValuedGroup:
     s = nv  # index of the extra element
     size = nv + 1
     lo, hi = _reserve_table(f"special_series({n})", size)
-    # V x V: x*y = [x+y, x+y], the xor of the masks (e doubles, x*x = [e, .])
-    lo[:nv, :nv] = np.bitwise_xor.outer(np.arange(nv), np.arange(nv))
+    # V x V: x*y = [x+y, x+y], the xor of the masks (e doubles, x*x = [e, .]),
+    # in the table's dtype and straight into it
+    v = np.arange(nv, dtype=lo.dtype)
+    np.bitwise_xor.outer(v, v, out=lo[:nv, :nv])
     # row and column of s: s*e = [s, s], s*x = [x, x], s*s = [e, e]
     edge = np.arange(size)
     edge[0], edge[s] = s, 0
@@ -312,7 +314,7 @@ def product_with_boolean(X: TwoValuedGroup, m: int) -> TwoValuedGroup:
     shift = np.bitwise_xor.outer(np.arange(nw), np.arange(nw)).astype(dt) * dt.type(n)
     shift = shift[:, None, :, None]  # (w1, ., w2, .) -> (w1 ^ w2) * n
     for table, part in ((lo, X.lo), (hi, X.hi)):
-        np.add(shift, part.astype(dt)[:, None, :], out=table.reshape(nw, n, nw, n))
+        np.add(shift, part.astype(dt, copy=False)[:, None, :], out=table.reshape(nw, n, nw, n))
     bits = [format(w, f"0{m}b") for w in range(nw)]  # the coordinates of each w
     names = [f"{x}|{b}" for b in bits for x in X.names]
     return TwoValuedGroup._adopt(names, lo, hi)

@@ -106,8 +106,8 @@ class TwoValuedGroup:
     the unordered pair [lo[i, j], hi[i, j]] with lo <= hi.  table[i][j] is
     the same pair as a Pair; that view is built on first access (or kept
     from the table= argument).  names are unique display labels; names[0]
-    is the identity.  Construction validates shape only -- use verify_axioms
-    to check the actual axioms.
+    is the identity.  Construction checks shape and cells only -- use
+    verify_axioms to check the actual axioms.
     """
 
     identity = 0
@@ -129,19 +129,14 @@ class TwoValuedGroup:
         if not all(map(isinstance, chain.from_iterable(table), repeat(Pair))):
             raise ValueError("table cells must be Pairs")
         lo, hi = np.empty((n, n), index_dtype(n)), np.empty((n, n), index_dtype(n))
-        unsorted, outside = None, False
         for i, row in enumerate(table):
             # one row at a time, and flat: numpy reads a row of Pairs, tuple
             # subclasses, about 7x slower; True is index 1, in a row of bools too
             cells = np.array([*chain.from_iterable(row)])
             cells = cells.view(np.uint8) if cells.dtype == bool else cells
-            _require_indices(cells)
             a, b = cells.reshape(n, 2).T
-            unsorted = unsorted or _unsorted_error(a, b, i)
-            outside = outside or a.min() < 0 or b.max() >= n
-            lo[i], hi[i] = a, b  # a cell out of range wraps, and raises below
-        if unsorted or outside:
-            raise unsorted or ValueError(f"table cell out of range 0..{n - 1}")
+            _check_cells(n, a, b, i)
+            lo[i], hi[i] = a, b
         X = self._adopt(names, lo, hi)
         vars(self).update(vars(X), table=table)
 
@@ -150,29 +145,28 @@ class TwoValuedGroup:
         """The group whose product i*j is [lo[i, j], hi[i, j]]; lo and hi are
         n x n integer arrays with lo <= hi, copied into index_dtype(n)."""
         names = tuple(names)
+        n = len(names)
         try:
             lo, hi = np.array(lo, order="C"), np.array(hi, order="C")
         except ValueError:  # numpy's word for a ragged row
-            raise _shape_error(len(names)) from None
+            raise _shape_error(n) from None
+        if lo.shape != (n, n) or hi.shape != (n, n):
+            raise _shape_error(n)
+        _check_cells(n, lo, hi)
         return cls._adopt(names, lo, hi)
 
     @classmethod
     def _adopt(cls, names: Sequence[str], lo: np.ndarray, hi: np.ndarray) -> "TwoValuedGroup":
-        """The group of the cells lo and hi, validated and kept uncopied; the
-        callers that build fresh arrays pass them here, past from_arrays' copy."""
+        """The group of the n x n tables lo and hi, kept uncopied where they
+        are index_dtype(n) already.  The caller vouches for the cells: integers
+        with lo <= hi in 0..n-1, checked by _check_cells or built so.  Only the
+        names are checked here."""
         names = tuple(names)
         n = len(names)
         if n == 0:
             raise ValueError("empty element set")
         if len(set(names)) != n:
             raise ValueError("element names must be unique")
-        if lo.shape != (n, n) or hi.shape != (n, n):
-            raise _shape_error(n)
-        _require_indices(lo, hi)
-        if unsorted := _unsorted_error(lo, hi):
-            raise unsorted
-        if lo.min() < 0 or hi.max() >= n:
-            raise ValueError(f"table cell out of range 0..{n - 1}")
         lo, hi = (a.astype(index_dtype(n), copy=False) for a in (lo, hi))
         lo.setflags(write=False)
         hi.setflags(write=False)
@@ -272,9 +266,9 @@ class TwoValuedGroup:
             cells = np.asarray(cells)
         except ValueError:  # numpy's word for a ragged grid
             raise _shape_error(n) from None
-        _require_indices(cells)
         if cells.size != 2 * n * n:
             raise _shape_error(n)
+        _check_cells(n, cells, cells)  # type and range; minimum and maximum sort
         a, b = np.moveaxis(cells.reshape(n, n, 2), 2, 0)
         return cls._adopt(names, np.minimum(a, b), np.maximum(a, b))
 
@@ -294,6 +288,7 @@ class TwoValuedGroup:
 
 def product(X: TwoValuedGroup, x: int, y: int) -> Pair:
     """The unordered pair x*y."""
+    x, y = _element(X, x), _element(X, y)
     return Pair(int(X.lo[x, y]), int(X.hi[x, y]))
 
 
@@ -303,7 +298,7 @@ def product_fold(X: TwoValuedGroup, m: Iterable[int], b: int) -> tuple[int, ...]
     A multiset of size 2^k folds to one of size 2^(k+1); the result is a
     sorted tuple of indices (our multiset normal form).
     """
-    m = np.fromiter(m, dtype=np.intp)
+    m, b = np.fromiter(map(partial(_element, X), m), dtype=np.intp), _element(X, b)
     return tuple(sorted(X.lo[m, b].tolist() + X.hi[m, b].tolist()))
 
 
@@ -313,20 +308,20 @@ def _shape_error(n: int) -> ValueError:
     return ValueError(f"multiplication table must be {n} x {n}")
 
 
-def _unsorted_error(lo: np.ndarray, hi: np.ndarray, row: int = 0) -> ValueError | None:
-    """The error for the first unsorted cell of lo/hi, a table or its row `row`; or None."""
-    if lo.flat[k := int((lo > hi).argmax())] <= hi.flat[k]:
-        return None
-    i, j = divmod(k, lo.shape[-1])
-    return ValueError(f"table cell ({row + i}, {j}) = [{lo.flat[k]}, {hi.flat[k]}] is not sorted")
-
-
-def _require_indices(*cells: np.ndarray) -> None:
-    """The cell rule of every table constructor: ValueError unless each
-    array of cells has an integer dtype (floats, strings, None and integers
-    past 64 bits convert to other dtypes and are refused, not truncated)."""
-    if any(a.dtype.kind not in "iu" for a in cells):
+def _check_cells(n: int, lo: np.ndarray, hi: np.ndarray, row: int = 0) -> None:
+    """The cell rule of every table constructor, for a table lo/hi or its
+    row `row`: ValueError at the first fault unless the cells are integers
+    (floats, strings, None and integers past 64 bits convert to other dtypes
+    and are refused, not truncated) with lo <= hi in 0..n-1."""
+    if lo.dtype.kind not in "iu" or hi.dtype.kind not in "iu":
         raise ValueError("table cells must hold element indices")
+    if not lo.size:  # no cells: _adopt refuses the empty element set
+        return
+    if lo.flat[k := int((lo > hi).argmax())] > hi.flat[k]:
+        i, j = divmod(k, n)
+        raise ValueError(f"table cell ({row + i}, {j}) = [{lo.flat[k]}, {hi.flat[k]}] is not sorted")
+    if lo.min() < 0 or hi.max() >= n:
+        raise ValueError(f"table cell out of range 0..{n - 1}")
 
 
 def index_dtype(n: int) -> np.dtype:
@@ -519,7 +514,7 @@ def verify_axioms(X: TwoValuedGroup) -> ValidationReport:
     single element x' with e contained in both x*x' and x'*x.  Commutativity
     and involutivity (e in x*x for every x) are reported as flags.
 
-    Every check reads the lo/hi arrays whole; as _adopt keeps 0 <= lo <= hi,
+    Every check reads the lo/hi arrays whole; as every table keeps 0 <= lo <= hi,
     e = 0 is in x*y exactly where lo[x, y] is.  On a commutative table the
     identity's column is its row, and a single inverse candidate in every
     row passes the inverse axiom.  Associativity is counted by one kernel,
@@ -636,7 +631,7 @@ def power(X: TwoValuedGroup, x: int, k: int) -> int:
     >>> [power(X, 1, k) for k in range(6)]
     [0, 1, 2, 2, 1, 0]
     """
-    k = index(k)
+    x, k = _element(X, x), index(k)
     m = order(X, x)
     seq, reach = X._walk[:2]
     j = abs(k) % m

@@ -3,7 +3,7 @@
 The references are the constructions as they were written before the
 tables became lo/hi arrays: coset_group filling every cell with two
 FinAbelianGroup.add calls, product_with_boolean and special_series building
-one Pair per cell.  They return (names, table) with table a tuple of Pair
+one Pair per cell; double is the coset group of the identity map.  They return (names, table) with table a tuple of Pair
 rows, so the tests compare names and the Pair view cell for cell.
 """
 
@@ -14,6 +14,7 @@ from test_acceptance import sweep_labels
 from twovalued.classify import all_labels_of_size, realize
 from twovalued.constructions import (
     FinAbelianGroup,
+    double,
     principal,
     product_with_boolean,
     special_series,
@@ -115,6 +116,9 @@ def build(kind, param, m):
         X, ref = principal(*param), reference_principal(*param)
     elif kind == "unipotent":
         X, ref = unipotent(param), reference_unipotent(param)
+    elif kind == "double":
+        A = FinAbelianGroup(param)
+        X, ref = double(A), reference_coset_group(A, range(A.size))
     else:
         X, ref = special_series(param), reference_special_series(param)
     return product_with_boolean(X, m), reference_product_with_boolean(*ref, m)
@@ -136,7 +140,9 @@ def test_sweep_constructions_match_reference():
 
 
 @pytest.mark.parametrize(
-    "kind, param", [("principal", (32, 32)), ("unipotent", 4)], ids=["principal32x32", "unipotent4"]
+    "kind, param",
+    [("principal", (32, 32)), ("unipotent", 4), ("double", (2, 6, 12))],
+    ids=["principal32x32", "unipotent4", "double2x6x12"],
 )
 def test_large_constructions_match_reference(kind, param):
     assert_matches(*build(kind, param, 0))

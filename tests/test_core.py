@@ -301,3 +301,31 @@ def test_power_takes_integer_exponents_only():
         with pytest.raises(TypeError):
             power(X, x, k)
     assert power(X, 1, np.int64(2)) == 2
+
+
+@pytest.mark.parametrize(
+    "x, index",
+    [(-1, ValueError), (3, ValueError), (1.5, TypeError), ("1", TypeError), (True, 1), (np.int64(2), 2)],
+    ids=["negative", "past_n", "float", "str", "bool", "numpy_int"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda X, x: product(X, x, 0),
+        lambda X, x: product(X, 0, x),
+        lambda X, x: product_fold(X, [0, x], 1),
+        lambda X, x: product_fold(X, [1], x),
+        lambda X, x: power(X, x, 2),
+        lambda X, x: order(X, x),
+    ],
+    ids=["product_x", "product_y", "product_fold_m", "product_fold_b", "power", "order"],
+)
+def test_element_arguments_follow_one_rule(call, x, index):
+    # an element goes through operator.index and must lie in 0..n-1: a
+    # negative index does not wrap, and a float or a str is no element
+    X = principal(5)
+    if isinstance(index, type):
+        with pytest.raises(index):
+            call(X, x)
+    else:
+        assert call(X, x) == call(X, index)

@@ -6,7 +6,7 @@ read the lo/hi arrays: the per-element power walk on the Pair view, the
 double loop of is_special, the mul-closure reconstruction of A from
 X = A/+-, the per-cell loop of is_homomorphism and the per-row colour
 refinement of the witness search, together with the loop
-versions of the Boolean part, the squares, the C2 split with its
+versions of the Boolean part, the quotient by a subgroup's cosets, the squares, the C2 split with its
 per-cell sign system and the cocycle extraction built on them.  The split
 reference reads x^2 off the Pair cell x*x = [e, x^2], as the valid-group
 routines do, and the sweep holds that cell to the walk.  Every
@@ -269,6 +269,21 @@ def reference_is_subgroup(X: TwoValuedGroup, members) -> bool:
     )
 
 
+def reference_quotient(X: TwoValuedGroup, members) -> tuple[tuple, tuple, list[int]]:
+    """(names, table, proj) of X/members on a valid group: the class of x
+    is its coset, every element of the products x*y with y in members."""
+    t = X.table
+    proj, reps = [None] * len(X), []
+    for x in range(len(X)):
+        if proj[x] is None:
+            for y in members:
+                for z in t[x][y].support():
+                    proj[z] = len(reps)
+            reps.append(x)
+    table = tuple(tuple(Pair.of(proj[t[a][b].lo], proj[t[a][b].hi]) for b in reps) for a in reps)
+    return tuple(X.names[r] for r in reps), table, proj
+
+
 def reference_is_homomorphism(X: TwoValuedGroup, Z: TwoValuedGroup, f) -> HomomorphismReport:
     n = len(X)
     tx, tz = X.table, Z.table
@@ -414,6 +429,7 @@ def check_homomorphisms(X: TwoValuedGroup, Y: TwoValuedGroup, perm, rng: random.
     V = boolean_subgroup(X) if not is_special(X)[0] else None
     if V is not None and V.dim:
         Q, proj = quotient(X, frozenset({X.identity, V.members[1]}))
+        assert (Q.names, Q.table, proj) == reference_quotient(X, (X.identity, V.members[1]))
         maps.append((Q, proj))
     for Z, f in maps:
         assert is_homomorphism(X, Z, f) == reference_is_homomorphism(X, Z, f)
