@@ -3,8 +3,9 @@
 The references are the constructions as they were written before the
 tables became lo/hi arrays: coset_group filling every cell with two
 FinAbelianGroup.add calls, product_with_boolean and special_series building
-one Pair per cell; double is the coset group of the identity map.  They return (names, table) with table a tuple of Pair
-rows, so the tests compare names and the Pair view cell for cell.
+one Pair per cell; double is the coset group of the identity map.  They
+return (names, table) with table a tuple of Pair rows, so the tests compare
+names and the Pair view cell for cell.
 """
 
 import numpy as np

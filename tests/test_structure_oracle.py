@@ -6,8 +6,9 @@ read the lo/hi arrays: the per-element power walk on the Pair view, the
 double loop of is_special, the mul-closure reconstruction of A from
 X = A/+-, the per-cell loop of is_homomorphism and the per-row colour
 refinement of the witness search, together with the loop
-versions of the Boolean part, the quotient by a subgroup's cosets, the squares, the C2 split with its
-per-cell sign system and the cocycle extraction built on them.  The split
+versions of the Boolean part, the quotient by a subgroup's cosets, the
+squares, the C2 split with its per-cell sign system and the cocycle
+extraction built on them.  The split
 reference reads x^2 off the Pair cell x*x = [e, x^2], as the valid-group
 routines do, and the sweep holds that cell to the walk.  Every
 acceptance-sweep label is checked with one seeded relabelling.  The mul
