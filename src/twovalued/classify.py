@@ -214,24 +214,24 @@ def all_labels_of_size(k: int) -> set[ClassLabel]:
 
 
 def _table_chain(t: np.ndarray) -> tuple[int, ...]:
-    """Invariant-factor chain of the abelian group with n x n index table
-    t, after checking the group axioms on it: NotAbelian or
-    NotAssociative when they fail."""
+    """Invariant-factor chain of the abelian group with n x n table t of
+    indices 0..n-1, after checking identity, inverses, commutativity and
+    associativity, which make rows permutations: NotAbelian or NotAssociative."""
     n = len(t)
     every = np.arange(n)
     bad = np.flatnonzero((t[0] != every) | (t[:, 0] != every))
     if len(bad):
         raise NotAbelian(f"index 0 is not an identity (element {bad[0]})")
-    bad = np.flatnonzero((np.sort(t, axis=1) != every).any(axis=1))
-    if len(bad):
-        raise NotAbelian(f"row {bad[0]} is not a permutation")
     t = t.astype(index_dtype(n), copy=False)
+    bad = np.flatnonzero(t.min(axis=1))
+    if len(bad):
+        raise NotAbelian(f"element {bad[0]} has no inverse")
     if not np.array_equal(t, t.T):
         raise NotAbelian("multiplication is not commutative")
     # Light's test: the g with (xg)y = x(gy) for all x, y are closed under
-    # products, so checking g in a generating set covers every g
+    # products, so checking g in a generating set covers every g; x(gy) = (gy)x
     for g in _generating_set(t, t, commutative=True):
-        bad = t[t[:, g]] != t[:, t[g]]
+        bad = t[t[:, g]] != t[t[g]].T
         if bad.any():
             x, y = map(int, np.argwhere(bad)[0])
             raise NotAssociative(f"first failing triple: {(x, g, y)}")
@@ -268,8 +268,8 @@ def _counted_chain(lo: np.ndarray, hi: np.ndarray, weight: np.ndarray) -> tuple[
 def invariant_factors(G) -> tuple[int, ...]:
     """Invariant-factor chain (d1 | d2 | ... | dk) of a finite abelian group
     given by a FinAbelianGroup or by its n x n index table, an integer array
-    with identity 0 (such as ReconstructionResult.table).  NotAbelian or
-    NotAssociative when the table is no abelian group.
+    of 0..n-1 with identity 0 (such as ReconstructionResult.table).  NotAbelian
+    or NotAssociative when the table is no abelian group.
 
     Works by order counting: for each prime p, the number of elements whose
     order divides p^j determines the partition of the p-primary component.
@@ -280,6 +280,8 @@ def invariant_factors(G) -> tuple[int, ...]:
     if t.ndim != 2 or len(t) != t.shape[1] or not len(t) or t.dtype.kind not in "iu":
         raise ValueError(f"a group table is a square integer array holding at least the "
                          f"identity, not {t.dtype} of {t.shape}")
+    if t.min() < 0 or t.max() >= len(t):
+        raise ValueError(f"group table entries must lie in 0..{len(t) - 1}")
     return _table_chain(t)
 
 
@@ -370,8 +372,8 @@ def reconstruct_abelian(X: TwoValuedGroup, t: int | None = None) -> Reconstructi
             raise NonUniquePair(f"product of {pairs[a0 + i]} and {pairs[j]}: candidates {found}")
         table[rows] = sum(np.where(ok, pos, 0) for ok, _, _, pos in hits)
 
-    # (0, t) sits at index 0 because t*e = [t, t] contributes exactly one
-    # pair; _table_chain checks the group axioms on the table
+    # (0, t) sits at index 0, as t*e = [t, t] gives one pair; the entries are
+    # indices of A, and _table_chain checks the group axioms on the table
     chain = _table_chain(table)
     table.flags.writeable = False
     labels = tuple(f"({X.names[x]};{X.names[p]})" for x, p in pairs)

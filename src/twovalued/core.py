@@ -269,8 +269,8 @@ class TwoValuedGroup:
         if cells.size != 2 * n * n:
             raise _shape_error(n)
         _check_cells(n, cells, cells)  # type and range; minimum and maximum sort
-        a, b = np.moveaxis(cells.reshape(n, n, 2), 2, 0)
-        return cls._adopt(names, np.minimum(a, b), np.maximum(a, b))
+        cells = np.moveaxis(cells.astype(index_dtype(n), copy=False).reshape(n, n, 2), 2, 0)
+        return cls._adopt(names, np.minimum(*cells), np.maximum(*cells))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -317,7 +317,7 @@ def _check_cells(n: int, lo: np.ndarray, hi: np.ndarray, row: int = 0) -> None:
         raise ValueError("table cells must hold element indices")
     if not lo.size:  # no cells: _adopt refuses the empty element set
         return
-    if lo.flat[k := int((lo > hi).argmax())] > hi.flat[k]:
+    if lo is not hi and lo.flat[k := int((lo > hi).argmax())] > hi.flat[k]:
         i, j = divmod(k, n)
         raise ValueError(f"table cell ({row + i}, {j}) = [{lo.flat[k]}, {hi.flat[k]}] is not sorted")
     if lo.min() < 0 or hi.max() >= n:

@@ -208,8 +208,9 @@ def quotient(
     names = tuple(X.names[r] for r in reps)
     proj = np.array(cls, index_dtype(len(reps)))
     block = np.ix_(reps, reps)
-    z1, z2 = proj[X.lo[block]], proj[X.hi[block]]
-    return TwoValuedGroup._adopt(names, np.minimum(z1, z2), np.maximum(z1, z2)), cls
+    lo, hi = proj[X.lo[block]], proj[X.hi[block]]
+    hi, lo = np.maximum(lo, hi), np.minimum(lo, hi, out=lo)  # max first: min overwrites lo
+    return TwoValuedGroup._adopt(names, lo, hi), cls
 
 
 def _classes(X: TwoValuedGroup, members) -> tuple[list[int], list[int]]:

@@ -313,6 +313,24 @@ class TestInvariantFactors:
             invariant_factors(table)
 
 
+def _entry_out_of_range(t):
+    t[1][2] = len(t)
+
+
+def _row_without_identity(t):
+    # row 1 holds 0 off column 0, so index 0 stays an identity
+    t[1][t[1].index(0)] = 1
+
+
+def _rows_repeating_an_entry(t):
+    # t[1][b] = t[b][1] = 1 keeps the table commutative and a 0 in every row,
+    # as t[1][b] != 0, but rows 1 and b no longer are permutations
+    b = next(b for b in range(2, len(t)) if t[1][b])
+    t[1][b] = t[b][1] = 1
+    assert t == [list(col) for col in zip(*t)] and all(0 in row for row in t)
+    assert sorted(t[1]) != list(range(len(t)))
+
+
 class TestReconstruction:
     @pytest.mark.parametrize("chain", [(3,), (5,), (6,), (8,), (2, 6)])
     def test_recovers_invariant_factors(self, chain):
@@ -351,6 +369,21 @@ class TestReconstruction:
         t[ad][a], t[ad][ad] = t[a][ad], t[a][a]
         assert all(sorted(row) == list(range(n)) for row in t)
         with pytest.raises(NotAssociative):
+            invariant_factors(t)
+
+    @pytest.mark.parametrize(
+        "corrupt, error, match",
+        [
+            (_entry_out_of_range, ValueError, r"^group table entries must lie in 0\.\.31$"),
+            (_row_without_identity, NotAbelian, r"^element 1 has no inverse$"),
+            (_rows_repeating_an_entry, NotAssociative, r"^first failing triple: "),
+        ],
+        ids=["out_of_range", "no_inverse", "rows_not_permutations"],
+    )
+    def test_corrupted_table_is_refused(self, corrupt, error, match):
+        t = reconstruct_abelian(principal(4, 8)).table.tolist()
+        corrupt(t)
+        with pytest.raises(error, match=match):
             invariant_factors(t)
 
     def test_table_that_fails_only_at_a_later_generator(self):

@@ -178,12 +178,14 @@ def test_identity_map_is_homomorphism():
     [
         (lambda X, u: is_homomorphism(X, X, list(range(len(X)))), 4),
         (lambda X, u: quotient(X, {X.identity, u}), 1),
+        (lambda X, u: quotient(X, {X.identity}), 1.75),
     ],
-    ids=["is_homomorphism", "quotient"],
+    ids=["is_homomorphism", "quotient", "quotient_by_identity"],
 )
 def test_homomorphism_theorem_memory(run, bound):
     # n = 512: the theorem is read off the kernel's classes, with no quotient
-    # group; a quotient gathers its table in the quotient's index dtype
+    # group; a quotient gathers its table in the quotient's index dtype and
+    # sorts its cells with one table more than its own
     X = product_with_boolean(principal(255), 2)
     u = boolean_subgroup(X).members[1]
     tracemalloc.start()
