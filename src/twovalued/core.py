@@ -187,59 +187,6 @@ class TwoValuedGroup:
             for lr, hr in zip(self.lo, self.hi)
         )
 
-    @cached_property
-    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
-        """(seq, reach, orders, faults) from the recurrence x * x^k =
-        [x^(k-1), x^(k+1)] for all x at once: seq[k, x] = x^k for
-        k <= reach[x], and x^k = x^(orders[x] - k) beyond.  A walk stops at
-        x^(k+1) = e or where it turns: after x^(k+1) = x^(k-1) or x^k the
-        recurrence retraces its steps to e, so the order is 2k or 2k+1.
-        faults maps each x whose recurrence branches before that to the
-        reason: x*x^k and x^k*x differ, x^(k-1) is missing from x*x^k, or
-        there is no return to e within 2n+2 steps.
-
-        One pass over the open walks: each step reads x * x^k, and x^k * x
-        unless the table is symmetric, records the fault or the stop of each
-        walk it ends, and drops those.  Only order, power and the witness
-        colours read it; the rest read x^2 off the diagonal (_squares)."""
-        n = len(self)
-        lo, hi = self.lo.ravel(), self.hi.ravel()
-        symmetric = np.array_equal(self.lo, self.lo.T) and np.array_equal(self.hi, self.hi.T)
-        seq = [np.zeros(n, lo.dtype), np.arange(n, dtype=lo.dtype)]
-        reach, orders = np.ones(n, np.intp), np.ones(n, np.intp)
-        faults: dict[int, str] = {}
-        # the open walks: x, x * n, x^(k-1) and x^k; e's stops at once
-        x = np.arange(1, n)
-        rows, prev, cur = x * n, seq[0][1:], seq[1][1:]
-        for k in range(1, 2 * n + 2):
-            if not len(x):
-                break
-            at = rows + cur
-            l, h = lo.take(at), hi.take(at)
-            back = l == prev
-            nxt = np.where(back, h, l)  # the element of x * x^k other than x^(k-1)
-            seq.append(np.zeros(n, lo.dtype))
-            seq[-1][x] = nxt
-            # back == (h == prev): x^(k-1) is missing from x * x^k, or x^(k+1) = x^(k-1)
-            ends = (back == (h == prev)) | (nxt == 0) | (nxt == cur)
-            if not symmetric:
-                at = cur.astype(np.intp) * n + x
-                ends |= (differ := (lo.take(at) != l) | (hi.take(at) != h))
-            if not np.count_nonzero(ends):
-                prev, cur = cur, nxt
-                continue
-            differ = np.zeros_like(ends) if symmetric else differ
-            for i in (differ | ((l != prev) & (h != prev))).nonzero()[0].tolist():
-                why = "x*x^k and x^k*x differ" if differ[i] else "x^(k-1) missing from x*x^k"
-                faults[int(x[i])] = f"{why} for x={x[i]}, k={k}"
-            stops, last = x[ends], nxt[ends]
-            orders[stops] = np.where(last == 0, k + 1, 2 * k + (last != prev[ends]))
-            reach[stops] = k + 1
-            x, rows, prev, cur = (a[~ends] for a in (x, rows, cur, nxt))
-        for y in chain(x.tolist(), (orders > 2 * n + 2).nonzero()[0].tolist()):
-            faults.setdefault(y, f"power sequence of x={y} never returns to e")
-        return np.array(seq), reach, orders, faults
-
     def __eq__(self, other):
         if not isinstance(other, TwoValuedGroup):
             return NotImplemented
@@ -619,6 +566,39 @@ def _squares(X: TwoValuedGroup) -> np.ndarray:
     return X.hi.diagonal()
 
 
+def _walk(X: TwoValuedGroup, x: int) -> tuple[list[int], int]:
+    """(seq, m): seq = [x^0, x^1, ...] from the recurrence x * x^k =
+    [x^(k-1), x^(k+1)], and m the order of x.  The walk stops at
+    x^(k+1) = e, where m = k + 1, or where it turns: after x^(k+1) = x^(k-1)
+    or x^k the recurrence retraces its steps to e, so m is 2k or 2k + 1 and
+    x^j = x^(m-j) beyond seq.  AmbiguousPower where the recurrence branches
+    first: x*x^k and x^k*x differ, x^(k-1) is missing from x*x^k, or there
+    is no return to e within 2n+2 steps.  Plain Python over x's row and
+    column: a step costs a few list reads, not a numpy call."""
+    if x == X.identity:
+        return [x, x], 1
+    n = len(X)
+    lo, hi = X.lo[x].tolist(), X.hi[x].tolist()
+    lo_t, hi_t = X.lo[:, x].tolist(), X.hi[:, x].tolist()
+    seq = [0, x]
+    for k in range(1, 2 * n + 2):
+        prev, cur = seq[k - 1], seq[k]
+        l, h = lo[cur], hi[cur]
+        if l != lo_t[cur] or h != hi_t[cur]:
+            raise AmbiguousPower(f"x*x^k and x^k*x differ for x={x}, k={k}")
+        if prev != l and prev != h:
+            raise AmbiguousPower(f"x^(k-1) missing from x*x^k for x={x}, k={k}")
+        seq.append(nxt := h if l == prev else l)
+        if nxt == 0:
+            return seq, k + 1
+        if nxt == prev or nxt == cur:
+            m = 2 * k + (nxt == cur)
+            if m <= 2 * n + 2:
+                return seq, m
+            break
+    raise AmbiguousPower(f"power sequence of x={x} never returns to e")
+
+
 def power(X: TwoValuedGroup, x: int, k: int) -> int:
     """x^k, defined through the unique power sequence.
 
@@ -632,10 +612,9 @@ def power(X: TwoValuedGroup, x: int, k: int) -> int:
     [0, 1, 2, 2, 1, 0]
     """
     x, k = _element(X, x), index(k)
-    m = order(X, x)
-    seq, reach = X._walk[:2]
+    seq, m = _walk(X, x)
     j = abs(k) % m
-    return int(seq[j if j <= reach[x] else m - j, x])
+    return seq[j] if j < len(seq) else seq[m - j]
 
 
 def order(X: TwoValuedGroup, x: int) -> int:
@@ -646,8 +625,4 @@ def order(X: TwoValuedGroup, x: int) -> int:
     >>> [order(X, x) for x in range(len(X))]
     [1, 6, 3, 2]
     """
-    x = _element(X, x)
-    _, _, orders, faults = X._walk
-    if x in faults:
-        raise AmbiguousPower(faults[x])
-    return int(orders[x])
+    return _walk(X, _element(X, x))[1]

@@ -331,19 +331,11 @@ def reference_colors(X: TwoValuedGroup) -> list[int]:
         ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
         return [ranks[k] for k in keys]
 
-    try:
-        ords = orders_of(reference_walk(X))
-    except AmbiguousPower:
-        ords = None
-    keys = []
-    for x, row in enumerate(t):
-        key = (x == 0, row[x].is_doubled, 0 in row[x], sum(p.is_doubled for p in row),
-               sum(0 in p for p in row), sum(x in p for p in row))
-        if ords is not None:
-            big = [o > 2 for o in ords]
-            key += (ords[x], sum(big[x] and big[y] and row[y].is_doubled for y in range(n)))
-        keys.append(key)
-    cols = rank(keys)
+    cols = rank([
+        (x == 0, row[x].is_doubled, 0 in row[x], sum(p.is_doubled for p in row),
+         sum(0 in p for p in row), sum(x in p for p in row))
+        for x, row in enumerate(t)
+    ])
     while True:
         new = rank([
             (cols[x], tuple(sorted((cols[y], tuple(sorted((cols[p.lo], cols[p.hi]))))
@@ -564,18 +556,19 @@ def test_walk_matches_reference_on_random_involutive_tables():
         assert_walk_matches_reference(random_involutive_table(rng.randrange(2, 6), rng))
 
 
-def test_walk_memory_is_its_power_table():
-    # n = 1,020, and every walk takes 1,019 steps: the walk holds the rows of
-    # seq and their stacked copy, plus O(n) per step; no K x n index array
+def test_walk_memory_holds_no_power_table():
+    # n = 1,020, and every walk takes 1,019 steps: order and power walk one
+    # element over its row and column as lists, O(n), and keep no K x n table
     X = principal(2039)
     tracemalloc.start()
     try:
-        seq = X._walk[0]
+        for x in (1, 500, 1019):
+            assert order(X, x) == 2039
+            power(X, x, 1500)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert seq.shape == (1021, 1020)
-    assert peak < 3 * seq.nbytes, f"traced peak {peak / seq.nbytes:.1f}x the power table"
+    assert peak < X.lo.nbytes / 5, f"traced peak {peak / X.lo.nbytes:.2f}x a table"
 
 
 def reference_principal_chain(orders) -> tuple[int, ...]:
@@ -654,12 +647,13 @@ def test_colors_match_reference(seed):
 @pytest.mark.parametrize("label, seed, nodes", [
     (("principal", (2, 6), 1), 17, 16),
     (("unipotent", 3, 0), 5, 73),
-    (("principal", (3, 9), 0), 3, 389),
+    (("principal", (3, 9), 0), 3, 19),
 ])
 def test_witness_search_spends_the_nodes_of_the_full_scan(label, seed, nodes):
     # each propagation step reads the mapped elements in increasing order,
     # as the scan over all n elements did, so a map costs the nodes it cost
-    # with the scan (counted then): one node less runs out of budget
+    # with the scan (counted then; principal(3, 9) counted again once the
+    # colours read no orders): one node less runs out of budget
     X = build(*label)
     Z, _ = relabel(X, seed)
     f = witness_isomorphism(X, Z, node_budget=nodes)
@@ -671,10 +665,16 @@ def test_witness_search_spends_the_nodes_of_the_full_scan(label, seed, nodes):
 @pytest.mark.parametrize("label", [("principal", (3, 9), 1), ("special", 3, 1),
                                    ("principal", (4, 4), 1), ("unipotent", 2, 2)],
                          ids=["principal", "special", "rank2", "unipotent2"])
-def test_classify_builds_no_walk(label):
+def test_classify_builds_no_walk(label, monkeypatch):
     # classify and the structure, cocycle and reconstruction routines read
-    # x^2 off the diagonal, so no power walk is built
+    # x^2 off the diagonal, so none of them walks a power sequence
+    def no_walk(X, x):
+        raise AssertionError(f"power walk of x={x}")
+
+    monkeypatch.setattr("twovalued.core._walk", no_walk)
     X = build(*label)
+    with pytest.raises(AssertionError):
+        order(X, 1)
     for T in (X, relabel(X, seed=len(X))[0]):
         classify(T)
         is_special(T)
@@ -683,7 +683,6 @@ def test_classify_builds_no_walk(label):
         outcome(extract_quasicocycle, split_direct_factor(T)[0])
         branching_set(T, u)
         outcome(reconstruct_abelian, T)
-        assert "_walk" not in vars(T)
 
 
 def test_valid_group_routines_raise_where_e_is_not_in_x_x():
